@@ -2,7 +2,6 @@
 //
 //   dynbench --workload NAME --seed N --seconds S --trace 0|1
 //            [--tiny] [--fig7-csv PATH] [--out-dir DIR] [--commit SHA]
-//   dynbench --check-fig7 PATH
 //
 // Untraced (--trace 0): sets the workload up several times (setup_s is the
 // median), then repeats the timed run for about S seconds (wall_s is the
@@ -159,6 +158,15 @@ std::string fig7_gate(const std::string& csv_path) {
   return "fig7 gate: series differs from " + csv_path;
 }
 
+/// Host time of one span's bookkeeping, timed on a scratch tracer.
+double span_cost_s() {
+  constexpr int kSpans = 100000;
+  Tracer scratch;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < kSpans; ++i) Tracer::Span span(&scratch, "calibrate");
+  return since(t0) / kSpans;
+}
+
 void check_outcome(const Outcome& o, std::vector<std::string>& failures) {
   failures.insert(failures.end(), o.failures.begin(), o.failures.end());
   if (o.expected == 0) failures.push_back("no expected echoes/deliveries: nothing measured");
@@ -208,18 +216,9 @@ int run_workload(const WorkloadSpec& spec, const Options& opt) {
   std::vector<std::string> failures;
   std::uint64_t attempted = 0;
 
-  // Set-up time: median of several set-ups (teardown not timed).
-  std::vector<double> setups;
-  const auto setup_t0 = Clock::now();
-  while (setups.size() < 7 || (since(setup_t0) < 0.05 * opt.seconds && setups.size() < 501)) {
-    double s = 0;
-    std::unique_ptr<Run> run = set_up(spec, opt, nullptr, &s);
-    setups.push_back(s);
-  }
-
   // Timed runs: repeat for about opt.seconds; every repeat must retrace
-  // the same trajectory.
-  std::vector<double> walls;
+  // the same trajectory. The set-ups are timed after the first run.
+  std::vector<double> walls, setups;
   Outcome first;
   double rss = 0;
   const auto timed_t0 = Clock::now();
@@ -231,9 +230,18 @@ int run_workload(const WorkloadSpec& spec, const Options& opt) {
     if (walls.empty()) {
       first = std::move(t.outcome);
       check_outcome(first, failures);
-      // Peak memory of one set-up plus one run; later repeats would add
-      // allocator fragmentation that depends on how many fit in the time.
+      // Peak memory of one set-up plus one run in a fresh process; the
+      // set-ups and repeats would add allocator fragmentation that depends
+      // on how many of them fit in the time.
       rss = peak_rss_mib();
+      // Set-up time: median of several set-ups (teardown not timed).
+      const auto setup_t0 = Clock::now();
+      while (setups.size() < 7 ||
+             (since(setup_t0) < 0.05 * opt.seconds && setups.size() < 501)) {
+        double s = 0;
+        std::unique_ptr<Run> run = set_up(spec, opt, nullptr, &s);
+        setups.push_back(s);
+      }
     } else if (!(t.outcome.fingerprint == first.fingerprint)) {
       failures.push_back("repeat " + std::to_string(walls.size()) +
                          " diverged: same seed, different event/RNG fingerprint");
@@ -322,10 +330,16 @@ int run_workload(const WorkloadSpec& spec, const Options& opt) {
   last.emplace_back("model.lost_frac", traced.lost_frac);
   last.emplace_back("model.slo_miss_frac", traced.slo_miss_frac);
   last.emplace_back("trace.overhead_s", traced_wall - wall_s);
+  // The same cost measured inside the traced run, free of run-to-run host
+  // noise: time between chunks (counter snapshots, chunk spans) plus every
+  // span's bookkeeping.
+  const double in_run_s = traced_wall - host_run_s +
+                          static_cast<double>(tracer.span_count()) * span_cost_s();
+  last.emplace_back("trace.in_run_s", in_run_s);
   std::ostringstream summary;
   summary << "# " << metadata(spec.name, opt.seed, opt.commit, 1) << "\n";
   summary << "# traced run: " << tracer.span_count() << " spans; untraced wall_s " << wall_s
-          << ", traced " << traced_wall << "; fingerprint events " << first.fingerprint.events
+          << ", traced " << traced_wall << ", tracing inside it " << in_run_s << "; fingerprint events " << first.fingerprint.events
           << ", rng draws " << first.fingerprint.rng_draws << " (equal)\n";
   char line[512];
   std::snprintf(line, sizeof line, "%-30s %-20s %-6s %s\n", "metric", "value", "unit", "note");
@@ -375,7 +389,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: dynbench --workload NAME --seed N --seconds S --trace 0|1 [--tiny]\n"
                "                [--fig7-csv PATH] [--out-dir DIR] [--commit SHA]\n"
-               "       dynbench --check-fig7 PATH\n"
                "workloads:");
   for (const WorkloadSpec& w : workloads()) std::fprintf(stderr, " %s", w.name.c_str());
   std::fprintf(stderr, "\n");
@@ -386,7 +399,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   Options opt;
-  std::string check_fig7;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
@@ -408,8 +420,6 @@ int main(int argc, char** argv) {
       opt.out_dir = argv[++i];
     } else if (arg == "--commit") {
       opt.commit = argv[++i];
-    } else if (arg == "--check-fig7") {
-      check_fig7 = argv[++i];
     } else {
       return usage();
     }
@@ -421,12 +431,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dynbench: refusing to run a %s build (build type %s)\n",
                  kSanitized ? "sanitizer" : "debug-assert", PERFBENCH_BUILD_TYPE);
     return 2;
-  }
-
-  if (!check_fig7.empty()) {
-    const std::string gate = fig7_gate(check_fig7);
-    std::printf("%s\n", gate.empty() ? "fig7 gate: pass" : gate.c_str());
-    return gate.empty() ? 0 : 1;
   }
 
   const WorkloadSpec* spec = nullptr;

@@ -1,6 +1,7 @@
 #include "workloads.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <random>
 #include <sstream>
@@ -433,7 +434,9 @@ std::unique_ptr<Run> make_sharded_ramp(std::uint64_t seed, bool tiny, Tracer*) {
 // Load is an open loop: after a warm-up, every step adds publishers to both
 // channels at fixed per-publisher rates, so each step offers a higher
 // publication rate on a sim-time schedule that never waits for replies.
-// Some fan-out subscribers leave and rejoin throughout.
+// The first steps add a whole load level each; past them, steps add a
+// fraction of a level, so the capacity knee is resolved finely. Some
+// fan-out subscribers leave and rejoin throughout.
 
 struct HotShape {
   std::size_t stable_subs;          // fan-out subscribers that never leave
@@ -444,9 +447,22 @@ struct HotShape {
   double fanin_rate;                // publications/s per fan-in publisher
   std::size_t fanout_bytes;
   std::size_t fanin_bytes;
-  std::size_t steps;                // measured steps (warm-up runs step 1's load)
+  std::size_t coarse_steps;         // steps at load levels 1, 2, ... (warm-up runs level 1)
+  std::size_t fine_steps;           // then steps of fine_level each
+  double fine_level;
   SimTime warmup;
   SimTime step;
+
+  [[nodiscard]] std::size_t steps() const { return coarse_steps + fine_steps; }
+  /// Load level of step k (1-based): publishers = level x *_pubs_per_step.
+  [[nodiscard]] double level(std::size_t k) const {
+    return k <= coarse_steps ? static_cast<double>(k)
+                             : static_cast<double>(coarse_steps) +
+                                   static_cast<double>(k - coarse_steps) * fine_level;
+  }
+  [[nodiscard]] static std::size_t publishers(std::size_t per_step, double level) {
+    return static_cast<std::size_t>(std::llround(static_cast<double>(per_step) * level));
+  }
 };
 
 /// p99 limit of a step for rate_ok_per_s (publish -> delivery).
@@ -479,11 +495,11 @@ class HotChannelRun : public Run {
     lb.subscriber_threshold = 100;
     cluster_.use_dynamoth(lb);
 
-    pub_end_ = shape_.warmup + static_cast<SimTime>(shape_.steps) * shape_.step;
+    pub_end_ = shape_.warmup + static_cast<SimTime>(shape_.steps()) * shape_.step;
     const std::size_t subs = shape_.stable_subs + shape_.churn_subs;
     words_ = (subs + 63) / 64;
-    expected_.assign((subs + 1) * (shape_.steps + 1), false);
-    steps_.resize(shape_.steps + 1);
+    expected_.assign((subs + 1) * (shape_.steps() + 1), false);
+    steps_.resize(shape_.steps() + 1);
 
     // Subscribers: the fan-out population (index < subs) and the fan-in
     // sink (index subs). Churners get a seeded leave/rejoin plan.
@@ -500,18 +516,18 @@ class HotChannelRun : public Run {
           t = back + seconds(6 + 8 * u01(gen_));
         }
       }
-      for (std::size_t k = 1; k <= shape_.steps; ++k) {
+      for (std::size_t k = 1; k <= shape_.steps(); ++k) {
         const SimTime from = step_start(k) - kSettle, to = step_start(k) + shape_.step + kDrain;
         bool whole = true;
         for (const auto& [leave, back] : sub.gaps) whole = whole && (back <= from || leave >= to);
-        expected_[s * (shape_.steps + 1) + k] = whole;
+        expected_[s * (shape_.steps() + 1) + k] = whole;
       }
       subs_.push_back(std::move(sub));
     }
-    fanout_expected_.assign(shape_.steps + 1, 0);
+    fanout_expected_.assign(shape_.steps() + 1, 0);
     for (std::size_t s = 0; s < subs; ++s) {
-      for (std::size_t k = 1; k <= shape_.steps; ++k) {
-        fanout_expected_[k] += expected_[s * (shape_.steps + 1) + k] ? 1 : 0;
+      for (std::size_t k = 1; k <= shape_.steps(); ++k) {
+        fanout_expected_[k] += expected_[s * (shape_.steps() + 1) + k] ? 1 : 0;
       }
     }
     for (std::size_t s = 0; s <= subs; ++s) {
@@ -564,9 +580,12 @@ class HotChannelRun : public Run {
 
     std::vector<double> reference;
     double late = 0, lost = 0;
+    const std::size_t n = shape_.steps();
+    std::vector<double> pubs(n + 1, 0), rate(n + 1, 0), p99(n + 1, 0);
+    std::vector<bool> ok(n + 1, false);
     std::ostringstream detail;
     detail << "step,publishers,rate_per_s,expected,lost,mean_ms,p99_ms\n";
-    for (std::size_t k = 1; k <= shape_.steps; ++k) {
+    for (std::size_t k = 1; k <= n; ++k) {
       Step& st = steps_[k];
       const double step_lost = static_cast<double>(st.expected - st.received);
       double sum = 0;
@@ -578,20 +597,33 @@ class HotChannelRun : public Run {
       if (k <= kReferenceSteps) {
         reference.insert(reference.end(), st.latency_ms.begin(), st.latency_ms.end());
       }
-      const double p99 = quantile(st.latency_ms, 0.99);
-      const double pubs = static_cast<double>(k * (shape_.fanout_pubs_per_step + shape_.fanin_pubs_per_step));
-      const double rate = static_cast<double>(k) * (static_cast<double>(shape_.fanout_pubs_per_step) * shape_.fanout_rate +
-                                                    static_cast<double>(shape_.fanin_pubs_per_step) * shape_.fanin_rate);
-      // Capacity: the highest step within the p99 limit and without loss,
-      // counted in publishers (players_ok) and in offered publications/s.
-      if (!st.latency_ms.empty() && p99 <= kHotP99LimitMs && step_lost == 0) {
-        o.players_ok = std::max(o.players_ok, pubs);
-        o.rate_ok_per_s = std::max(o.rate_ok_per_s, rate);
-      }
+      // A step without a single delivery has no finite p99.
+      p99[k] = st.latency_ms.empty() ? HUGE_VAL : quantile(st.latency_ms, 0.99);
+      const std::size_t fanout = HotShape::publishers(shape_.fanout_pubs_per_step, shape_.level(k));
+      const std::size_t fanin = HotShape::publishers(shape_.fanin_pubs_per_step, shape_.level(k));
+      pubs[k] = static_cast<double>(fanout + fanin);
+      rate[k] = static_cast<double>(fanout) * shape_.fanout_rate +
+                static_cast<double>(fanin) * shape_.fanin_rate;
+      ok[k] = p99[k] <= kHotP99LimitMs && step_lost == 0;
       o.expected += st.expected;
       lost += step_lost;
-      detail << k << ',' << pubs << ',' << rate << ',' << st.expected << ',' << step_lost << ','
-             << mean << ',' << p99 << '\n';
+      detail << k << ',' << pubs[k] << ',' << rate[k] << ',' << st.expected << ',' << step_lost
+             << ',' << mean << ',' << p99[k] << '\n';
+    }
+    // Capacity, counted in publishers (players_ok) and in offered
+    // publications/s (rate_ok_per_s): the highest step within the p99 limit
+    // and without loss, plus the share of the way to the next step at which
+    // the p99 crosses the limit, interpolated linearly between the two
+    // steps. A next step that failed on loss alone counts the whole way.
+    for (std::size_t k = 1; k <= n; ++k) {
+      if (!ok[k]) continue;
+      double f = 0;
+      if (k < n && !ok[k + 1]) {
+        f = p99[k + 1] <= kHotP99LimitMs ? 1.0 : (kHotP99LimitMs - p99[k]) / (p99[k + 1] - p99[k]);
+      }
+      const std::size_t next = std::min(k + 1, n);
+      o.players_ok = std::max(o.players_ok, pubs[k] + f * (pubs[next] - pubs[k]));
+      o.rate_ok_per_s = std::max(o.rate_ok_per_s, rate[k] + f * (rate[next] - rate[k]));
     }
     o.rt_p50_ms = quantile(reference, 0.50);
     o.rt_p90_ms = quantile(reference, 0.90);
@@ -672,13 +704,15 @@ class HotChannelRun : public Run {
   void add_publishers(ChannelIdx channel, std::size_t per_step, double rate, std::size_t bytes) {
     std::uniform_real_distribution<double> u01(0.0, 1.0);
     const SimTime period = seconds(1.0 / rate);
-    for (std::size_t i = 0; i < per_step * shape_.steps; ++i) {
-      const std::size_t level = 1 + i / per_step;
-      const SimTime start = level == 1 ? 0 : step_start(level);
-      const std::size_t p = pubs_.size();
-      pubs_.push_back({&cluster_.add_client(), channel, period, bytes});
-      const SimTime first = start + static_cast<SimTime>(u01(gen_) * static_cast<double>(period));
-      cluster_.sim().schedule_at(first, [this, p] { publish(p); });
+    std::size_t active = 0;
+    for (std::size_t k = 1; k <= shape_.steps(); ++k) {
+      const SimTime start = k == 1 ? 0 : step_start(k);
+      for (; active < HotShape::publishers(per_step, shape_.level(k)); ++active) {
+        const std::size_t p = pubs_.size();
+        pubs_.push_back({&cluster_.add_client(), channel, period, bytes});
+        const SimTime first = start + static_cast<SimTime>(u01(gen_) * static_cast<double>(period));
+        cluster_.sim().schedule_at(first, [this, p] { publish(p); });
+      }
     }
   }
 
@@ -728,7 +762,7 @@ class HotChannelRun : public Run {
     }
     word |= mask;
     last_delivery_ = cluster_.sim().now();
-    if (r.step > 0 && expected_[s * (shape_.steps + 1) + r.step]) {
+    if (r.step > 0 && expected_[s * (shape_.steps() + 1) + r.step]) {
       Step& st = steps_[r.step];
       ++st.received;
       st.latency_ms.push_back(to_millis(cluster_.sim().now() - r.at));
@@ -766,14 +800,17 @@ std::unique_ptr<Run> make_hot_channel(std::uint64_t seed, bool tiny, Tracer* tra
                  .fanin_rate = 8.0,
                  .fanout_bytes = 128,
                  .fanin_bytes = 1024,
-                 .steps = 8,
+                 .coarse_steps = 4,
+                 .fine_steps = 12,
+                 .fine_level = 0.25,
                  .warmup = seconds(20),
-                 .step = seconds(10)};
+                 .step = seconds(5)};
   if (tiny) {
     shape.stable_subs = 24;
     shape.churn_subs = 6;
     shape.fanin_pubs_per_step = 5;
-    shape.steps = 3;
+    shape.coarse_steps = 2;
+    shape.fine_steps = 2;
   }
   return std::make_unique<HotChannelRun>(shape, seed, tracer);
 }
@@ -846,6 +883,7 @@ const std::vector<LayerMetric>& layer_metrics() {
       {"model.lost_frac", "ratio"},
       {"model.slo_miss_frac", "ratio"},
       {"trace.overhead_s", "s"},
+      {"trace.in_run_s", "s"},
   };
   return list;
 }
