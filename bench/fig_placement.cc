@@ -1,12 +1,10 @@
-// Placement-policy shoot-out: every policy in src/placement replays the
+// Placement-policy shoot-out: both policies in src/placement replay the
 // Figure-5 client ramp, the Figure-7 elasticity cycle, and a server-crash
 // schedule, under otherwise identical configuration. The point is a
 // like-for-like comparison of what each placement strategy trades:
 //
 //   greedy        the paper's Algorithm 2 — reactive, migrates on demand
 //   bounded-load  CH with bounded loads — sticky placements, spill on cap
-//   peak-ewma     decayed-peak homing — repels load from recently hot servers
-//   maglev        table-driven stateless mapping — placement is membership
 //
 // Outputs:
 //   fig_placement.csv            one row per (workload, policy), same columns
@@ -124,8 +122,7 @@ int main(int argc, char** argv) {
 
   std::vector<placement::PolicyKind> kinds;
   for (placement::PolicyKind kind :
-       {placement::PolicyKind::kGreedy, placement::PolicyKind::kBoundedLoad,
-        placement::PolicyKind::kPeakEwma, placement::PolicyKind::kMaglev}) {
+       {placement::PolicyKind::kGreedy, placement::PolicyKind::kBoundedLoad}) {
     if (only.empty() || only == placement::to_string(kind)) kinds.push_back(kind);
   }
   if (kinds.empty()) {

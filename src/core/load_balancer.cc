@@ -39,7 +39,6 @@ class DynamothLoadBalancer::RoundOpsImpl final : public placement::RoundOps {
  public:
   RoundOpsImpl(DynamothLoadBalancer& lb, Round& r) : lb_(lb), r_(r) {}
 
-  [[nodiscard]] SimTime now() const override { return lb_.sim_.now(); }
   [[nodiscard]] const placement::Limits& limits() const override { return lb_.limits_; }
   [[nodiscard]] const Plan& plan() const override { return r_.plan; }
   [[nodiscard]] const ConsistentHashRing& base_ring() const override { return *lb_.base_ring_; }
@@ -60,19 +59,13 @@ class DynamothLoadBalancer::RoundOpsImpl final : public placement::RoundOps {
       const std::set<ServerId>& exclude) const override {
     return lb_.servers_by_load(r_, exclude);
   }
-  [[nodiscard]] bool server_live(ServerId s) const override {
-    return lb_.servers().contains(s);
-  }
   [[nodiscard]] std::size_t roster_size() const override { return lb_.servers().size(); }
 
   [[nodiscard]] std::vector<placement::ChannelLoad> channel_loads() const override {
     std::vector<placement::ChannelLoad> loads;
     loads.reserve(r_.channels.size());
-    const auto& table = ChannelTable::instance();
     for (const auto& [channel, agg] : r_.channels) {  // name-ordered
-      // find() (not intern): observing load must never perturb the interner.
-      loads.push_back(
-          placement::ChannelLoad{table.find(channel), &channel, agg.out_bytes_per_sec});
+      loads.push_back(placement::ChannelLoad{&channel, agg.out_bytes_per_sec});
     }
     return loads;
   }

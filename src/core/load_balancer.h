@@ -5,12 +5,12 @@
 //  1. channel-level rebalancing (Algorithm 1): decide per channel whether
 //     all-subscribers / all-publishers replication should be (de)activated
 //     and across how many servers;
-//  2. system-level rebalancing, delegated to a pluggable PlacementPolicy
+//  2. system-level rebalancing, delegated to a PlacementPolicy
 //     (src/placement). The default GreedyPolicy is the paper's Algorithm 2 —
 //     migrate busiest channels off the most loaded server, rent new cloud
-//     servers when nothing else helps — plus the low-load drain; alternative
-//     policies (bounded-load hashing, Peak-EWMA, Maglev) slot into the same
-//     round, audit log and emergency path.
+//     servers when nothing else helps — plus the low-load drain; the one
+//     alternative, consistent hashing with bounded loads, slots into the
+//     same round, audit log and emergency path.
 #pragma once
 
 #include <cstdint>

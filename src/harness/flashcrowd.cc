@@ -161,7 +161,6 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
   lb_config.all_pubs_threshold = config.all_pubs_threshold;
   lb_config.subscriber_threshold = config.subscriber_threshold;
   lb_config.max_servers = config.max_servers;
-  lb_config.placement = config.placement;
   auto& lb = cluster.use_dynamoth(lb_config);
 
   FlashCrowdResult result;  // declared before clients: handlers record into it

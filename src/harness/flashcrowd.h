@@ -23,7 +23,6 @@
 #include "harness/cluster.h"
 #include "metrics/histogram.h"
 #include "obs/metrics_registry.h"
-#include "placement/policy.h"
 
 namespace dynamoth::harness {
 
@@ -116,7 +115,6 @@ struct FlashCrowdConfig {
   double publication_threshold = 150; // min publications/s
   double all_pubs_threshold = 90;     // subscribers per publication /s
   double subscriber_threshold = 250;  // min subscribers
-  placement::PolicyConfig placement;
 
   ClusterConfig cluster;  // seed/initial_servers overwritten
 };

@@ -25,7 +25,7 @@ bool heavier(const Item& a, const Item& b) {
 }  // namespace
 
 BoundedLoadPolicy::BoundedLoadPolicy(const PolicyConfig& config)
-    : epsilon_(config.bounded_epsilon), ring_(config.ring_virtual_nodes) {}
+    : epsilon_(config.bounded_epsilon), ring_(kRingVirtualNodes) {}
 
 std::string BoundedLoadPolicy::params() const {
   char buf[64];
@@ -204,9 +204,17 @@ void BoundedLoadPolicy::system_rebalance(RoundOps& ops, bool scale_down_allowed)
       drain.push_back(Item{it.name, it.rate, victim, current.version});
     }
   }
-  // Plan entries with no traffic this window still pin channels to the victim.
+  // Plan entries still pin channels to the victim: ones with no traffic this
+  // window, and replicated ones (skipped above). As in greedy's drain, a
+  // replica set of three or more just sheds the victim; a pair collapses onto
+  // a single owner. Replicated load sits outside the caps, so it walks at 0.
+  std::vector<const Channel*> shrink;
   for (const auto& [channel, entry] : ops.plan().entries()) {
     if (!entry.owns(victim)) continue;
+    if (entry.mode != core::ReplicationMode::kNone && entry.servers.size() > 2) {
+      shrink.push_back(&channel);
+      continue;
+    }
     bool counted = false;
     for (const Item& it : drain) {
       if (*it.name == channel) {
@@ -258,6 +266,14 @@ void BoundedLoadPolicy::system_rebalance(RoundOps& ops, bool scale_down_allowed)
     std::snprintf(why, sizeof why, "drain underloaded server %u", victim);
     ops.apply(*it->name, entry, why);
     ops.note_migration();
+  }
+  for (const Channel* channel : shrink) {
+    core::PlanEntry entry = ops.plan().resolve(*channel, ops.base_ring());
+    std::erase(entry.servers, victim);
+    ++entry.version;
+    char why[64];
+    std::snprintf(why, sizeof why, "shrink replicas off draining server %u", victim);
+    ops.apply(*channel, entry, why);
   }
   ops.set_kind(core::RebalanceKind::kLowLoad);
   ops.begin_drain(victim);

@@ -39,6 +39,9 @@ class BoundedLoadPolicy final : public PlacementPolicy {
   /// Make the internal ring's membership match `members`.
   void sync_ring(const std::vector<ServerId>& members);
 
+  /// Virtual nodes per server on the internal ring.
+  static constexpr int kRingVirtualNodes = 64;
+
   double epsilon_;
   core::ConsistentHashRing ring_;
   RoundStats last_round_;

@@ -2,8 +2,6 @@
 
 #include "placement/bounded_load.h"
 #include "placement/greedy.h"
-#include "placement/maglev.h"
-#include "placement/peak_ewma.h"
 
 namespace dynamoth::placement {
 
@@ -13,23 +11,8 @@ const char* to_string(PolicyKind kind) {
       return "greedy";
     case PolicyKind::kBoundedLoad:
       return "bounded-load";
-    case PolicyKind::kPeakEwma:
-      return "peak-ewma";
-    case PolicyKind::kMaglev:
-      return "maglev";
   }
   return "?";
-}
-
-bool parse_policy_kind(std::string_view name, PolicyKind* out) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kPeakEwma,
-                          PolicyKind::kMaglev}) {
-    if (name == to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
 }
 
 ServerId PlacementPolicy::emergency_home(RoundOps& ops, const Channel& channel) {
@@ -44,10 +27,6 @@ std::unique_ptr<PlacementPolicy> make_policy(const PolicyConfig& config) {
       return std::make_unique<GreedyPolicy>();
     case PolicyKind::kBoundedLoad:
       return std::make_unique<BoundedLoadPolicy>(config);
-    case PolicyKind::kPeakEwma:
-      return std::make_unique<PeakEwmaPolicy>(config);
-    case PolicyKind::kMaglev:
-      return std::make_unique<MaglevPolicy>(config);
   }
   return std::make_unique<GreedyPolicy>();
 }

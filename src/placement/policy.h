@@ -1,18 +1,17 @@
-// Pluggable placement policies: the system-level slot of the load balancer.
+// Placement policies: the system-level slot of the load balancer.
 //
 // Dynamoth's Algorithm 2 (greedy busiest-channel migration off the most
-// loaded server) and the plain consistent-hash fallback are two points in a
-// large placement design space. This subsystem extracts the decision — given
-// id-indexed per-server channel load vectors, the current plan and the server
-// roster, which channel lives where — behind a PlacementPolicy interface, so
-// alternatives (consistent hashing with bounded loads, Peak-EWMA least-loaded
-// homing, Maglev tables) plug into the same balancer round, the same audit
-// log, and the same emergency-rebalance path.
+// loaded server) is one point in a large placement design space. This
+// subsystem extracts the decision — given per-server channel loads, the
+// current plan and the server roster, which channel lives where — behind a
+// PlacementPolicy interface with two implementations: the paper's greedy
+// policy (the default) and consistent hashing with bounded loads. Both feed
+// the same balancer round, the same audit log, and the same
+// emergency-rebalance path.
 //
 // Determinism contract: a policy may only depend on channel *names*, server
-// ids, and the load numbers it is handed. Interned ChannelIds are provided as
-// O(1) handles into id-keyed structures but their numeric values vary between
-// processes (interning order), so policies must never branch on them.
+// ids, and the load numbers it is handed — never on interned ChannelIds,
+// whose numeric values vary between processes (interning order).
 // Policies run on the control plane (inside a balancer decision round); they
 // may allocate there, but nothing they retain may allocate on the per-message
 // path.
@@ -23,10 +22,8 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/channel_table.h"
 #include "common/types.h"
 #include "core/balancer_base.h"  // RebalanceKind
 #include "core/consistent_hash.h"
@@ -37,14 +34,10 @@ namespace dynamoth::placement {
 enum class PolicyKind : std::uint8_t {
   kGreedy,       // the paper's Algorithm 2, extracted verbatim (default)
   kBoundedLoad,  // consistent hashing with bounded loads (Mirrokni et al.)
-  kPeakEwma,     // Peak-EWMA least-loaded channel homing
-  kMaglev,       // Maglev lookup table as the stateless mapping
 };
 
+/// "greedy" / "bounded-load"; also the policy's name() and audit label.
 [[nodiscard]] const char* to_string(PolicyKind kind);
-/// Parses "greedy" / "bounded-load" / "peak-ewma" / "maglev" (for bench CLI
-/// flags). Returns false on an unknown name.
-[[nodiscard]] bool parse_policy_kind(std::string_view name, PolicyKind* out);
 
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kGreedy;
@@ -52,17 +45,9 @@ struct PolicyConfig {
   /// Bounded-load: per-server cap is (1+epsilon) * (total load / servers),
   /// scaled by the server's share of fleet capacity when capacities differ.
   double bounded_epsilon = 0.25;
-  /// Peak-EWMA: decay time constant (seconds) of the per-server peak load
-  /// signal. Smaller forgets spikes faster.
-  double ewma_decay_s = 30.0;
-  /// Maglev: lookup table size; prime, and >> max_servers * 100 for even
-  /// splits (Maglev paper section 3.4).
-  std::uint32_t maglev_table_size = 2039;
-  /// Bounded-load: virtual nodes per server on the policy's internal ring.
-  int ring_virtual_nodes = 64;
 };
 
-/// Thresholds the balancer round runs under; shared by all policies so a
+/// Thresholds the balancer round runs under; shared by both policies so a
 /// policy swap compares placement logic, not tuning.
 struct Limits {
   double lr_high = 0.85;
@@ -74,11 +59,10 @@ struct Limits {
   std::size_t min_servers = 1;
 };
 
-/// One channel's aggregated load with its interned-id handle. Ordered by
-/// name (stable across processes), never by id.
+/// One channel's aggregated load. Ordered by name (stable across
+/// processes), never by id.
 struct ChannelLoad {
-  ChannelId id = kInvalidChannelId;
-  const Channel* name = nullptr;  // stable: interner-owned
+  const Channel* name = nullptr;  // valid for the round
   /// Summed across servers. Includes pattern-driven fan-out: the LLA
   /// attributes deliveries to wildcard (PSUBSCRIBE) listeners to the matched
   /// channel's bytes_out, so placement policies see that load without any
@@ -88,14 +72,13 @@ struct ChannelLoad {
 
 /// The balancer-side view of one decision round: id-indexed load state,
 /// the plan being edited, the roster, and the mutations a policy may make.
-/// All mutations flow through apply()/request_spawn()/begin_drain() so every
-/// policy feeds the same audit log and fleet machinery.
+/// All mutations flow through apply()/request_spawn()/begin_drain() so both
+/// policies feed the same audit log and fleet machinery.
 class RoundOps {
  public:
   virtual ~RoundOps() = default;
 
   // ---- inputs ----
-  [[nodiscard]] virtual SimTime now() const = 0;
   [[nodiscard]] virtual const Limits& limits() const = 0;
   [[nodiscard]] virtual const core::Plan& plan() const = 0;
   [[nodiscard]] virtual const core::ConsistentHashRing& base_ring() const = 0;
@@ -115,16 +98,14 @@ class RoundOps {
   /// pressured first, excluding `exclude`; id-ordered tie break.
   [[nodiscard]] virtual std::vector<ServerId> servers_by_load(
       const std::set<ServerId>& exclude) const = 0;
-  /// True when `server` is attached (live from the balancer's view).
-  [[nodiscard]] virtual bool server_live(ServerId server) const = 0;
   /// Attached servers, including ones without a report yet (the roster the
   /// paper's outer migration guard is bounded by).
   [[nodiscard]] virtual std::size_t roster_size() const = 0;
 
-  /// Flat id-indexed load vector: every channel with measured load this
-  /// round, summed across servers, name-ordered. Replicated channels
-  /// (explicit entries with >1 server) are included; policies that only
-  /// re-home single-owner channels must filter via plan().
+  /// Flat load vector: every channel with measured load this round, summed
+  /// across servers, name-ordered. Replicated channels (explicit entries
+  /// with >1 server) are included; policies that only re-home single-owner
+  /// channels must filter via plan().
   [[nodiscard]] virtual std::vector<ChannelLoad> channel_loads() const = 0;
 
   // ---- mutations ----
@@ -150,7 +131,7 @@ class RoundOps {
 /// A placement policy: fills the system-level rebalance slot (the paper's
 /// Algorithm 2 position) and chooses emergency homes for channels orphaned
 /// by a failed server. Constructed once per balancer; may keep state across
-/// rounds (e.g. decayed peaks, internal rings).
+/// rounds (bounded-load keeps its internal ring).
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;

@@ -335,12 +335,12 @@ TEST(AllocGuard, EndToEndClientPublishDeliverIsAllocationFree) {
 }
 
 // Same steady-state contract as EndToEndClientPublishDeliver, but with the
-// full Dynamoth balancer attached and a non-default placement policy driving
-// it. Policies run at LLA-report/decide time (which may allocate: rounds,
-// plans, audit records) — the per-message path in between must not. The
-// measured batches sit 200ms past the window boundary so the periodic
-// report -> decide -> plan-push machinery never fires on the clock.
-void expect_policy_steady_state_alloc_free(placement::PolicyKind kind) {
+// full Dynamoth balancer attached and the non-default bounded-load placement
+// policy driving it. Policies run at LLA-report/decide time (which may
+// allocate: rounds, plans, audit records) — the per-message path in between
+// must not. The measured batches sit 200ms past the window boundary so the
+// periodic report -> decide -> plan-push machinery never fires on the clock.
+TEST(AllocGuard, SteadyStateWithBoundedLoadPolicyIsAllocationFree) {
   harness::ClusterConfig cluster_config;
   cluster_config.seed = 13;
   cluster_config.initial_servers = 2;
@@ -360,7 +360,7 @@ void expect_policy_steady_state_alloc_free(placement::PolicyKind kind) {
   sim::Simulator& sim = cluster.sim();
 
   core::DynamothLoadBalancer::Config lb_config;
-  lb_config.placement.kind = kind;
+  lb_config.placement.kind = placement::PolicyKind::kBoundedLoad;
   cluster.use_dynamoth(lb_config);
 
   std::uint64_t got = 0;
@@ -385,21 +385,9 @@ void expect_policy_steady_state_alloc_free(placement::PolicyKind kind) {
   for (int i = 0; i < 2; ++i) publish_batch();
   const std::uint64_t allocs = g_new_calls - allocs_before;
 
-  EXPECT_EQ(allocs, 0u) << placement::to_string(kind) << ": steady-state path allocated "
-                        << allocs << " times over " << 2 * kBatch << " messages";
+  EXPECT_EQ(allocs, 0u) << "bounded-load: steady-state path allocated " << allocs
+                        << " times over " << 2 * kBatch << " messages";
   EXPECT_EQ(got - delivered_before, 2u * kBatch * 8);
-}
-
-TEST(AllocGuard, SteadyStateWithBoundedLoadPolicyIsAllocationFree) {
-  expect_policy_steady_state_alloc_free(placement::PolicyKind::kBoundedLoad);
-}
-
-TEST(AllocGuard, SteadyStateWithPeakEwmaPolicyIsAllocationFree) {
-  expect_policy_steady_state_alloc_free(placement::PolicyKind::kPeakEwma);
-}
-
-TEST(AllocGuard, SteadyStateWithMaglevPolicyIsAllocationFree) {
-  expect_policy_steady_state_alloc_free(placement::PolicyKind::kMaglev);
 }
 
 TEST(AllocGuard, CohortPublishAndExpandedDeliveryIsAllocationFree) {

@@ -89,7 +89,6 @@ ChurnResult run_churn(BoundedLoadPolicy& policy, FakeRoundOps& ops, std::uint32_
         }
       }
     }
-    ops.advance(seconds(10));
   }
   return result;
 }
@@ -150,7 +149,6 @@ TEST(BoundedLoadProperty, ChurnReplayIsDeterministic) {
         timelines[run].push_back(std::to_string(round) + ":" + move.channel + "->" +
                                  std::to_string(move.to.front()));
       }
-      ops.advance(seconds(10));
     }
   }
   EXPECT_EQ(timelines[0], timelines[1]);

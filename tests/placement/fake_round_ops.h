@@ -17,8 +17,6 @@ namespace dynamoth::placement::test {
 
 class FakeRoundOps final : public RoundOps {
  public:
-  explicit FakeRoundOps(int ring_vnodes = 64) : base_ring_(ring_vnodes) {}
-
   // ---- test setup ----
   void add_server(ServerId id, double capacity, bool on_base_ring) {
     capacity_[id] = capacity;
@@ -51,7 +49,6 @@ class FakeRoundOps final : public RoundOps {
       rates.erase(it);
     }
   }
-  void advance(SimTime dt) { now_ += dt; }
   Limits& mutable_limits() { return limits_; }
   core::Plan& mutable_plan() { return plan_; }
   core::ConsistentHashRing& mutable_base_ring() { return base_ring_; }
@@ -84,7 +81,6 @@ class FakeRoundOps final : public RoundOps {
   }
 
   // ---- RoundOps ----
-  [[nodiscard]] SimTime now() const override { return now_; }
   [[nodiscard]] const Limits& limits() const override { return limits_; }
   [[nodiscard]] const core::Plan& plan() const override { return plan_; }
   [[nodiscard]] const core::ConsistentHashRing& base_ring() const override {
@@ -124,9 +120,6 @@ class FakeRoundOps final : public RoundOps {
     });
     return ids;
   }
-  [[nodiscard]] bool server_live(ServerId s) const override {
-    return capacity_.contains(s);
-  }
   [[nodiscard]] std::size_t roster_size() const override { return capacity_.size(); }
   [[nodiscard]] std::vector<ChannelLoad> channel_loads() const override {
     std::map<Channel, double> total;
@@ -136,7 +129,7 @@ class FakeRoundOps final : public RoundOps {
     std::vector<ChannelLoad> loads;
     for (const auto& [channel, rate] : total) {
       const Channel& name = *names_.insert(channel).first;
-      loads.push_back(ChannelLoad{kInvalidChannelId, &name, rate});
+      loads.push_back(ChannelLoad{&name, rate});
     }
     return loads;
   }
@@ -177,7 +170,6 @@ class FakeRoundOps final : public RoundOps {
   }
 
  private:
-  SimTime now_ = 0;
   Limits limits_;
   core::Plan plan_;
   core::ConsistentHashRing base_ring_;

@@ -2,17 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "placement/bounded_load.h"
 #include "placement/greedy.h"
-#include "placement/maglev.h"
-#include "placement/maglev_table.h"
-#include "placement/peak_ewma.h"
 #include "fake_round_ops.h"
 
 namespace dynamoth::placement {
@@ -23,8 +17,7 @@ using test::FakeRoundOps;
 // ---- factory / naming ----
 
 TEST(PolicyFactory, BuildsEveryKindWithMatchingName) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kPeakEwma,
-                          PolicyKind::kMaglev}) {
+  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad}) {
     PolicyConfig config;
     config.kind = kind;
     const auto policy = make_policy(config);
@@ -33,124 +26,13 @@ TEST(PolicyFactory, BuildsEveryKindWithMatchingName) {
   }
 }
 
-TEST(PolicyFactory, ParseRoundTripsEveryName) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kPeakEwma,
-                          PolicyKind::kMaglev}) {
-    PolicyKind parsed{};
-    ASSERT_TRUE(parse_policy_kind(to_string(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  PolicyKind parsed{};
-  EXPECT_FALSE(parse_policy_kind("round-robin", &parsed));
-}
-
 TEST(PolicyFactory, ParamsDescribeTunables) {
   PolicyConfig config;
   config.kind = PolicyKind::kBoundedLoad;
   config.bounded_epsilon = 0.5;
   EXPECT_EQ(make_policy(config)->params(), "eps=0.50,vnodes=64");
-  config.kind = PolicyKind::kPeakEwma;
-  config.ewma_decay_s = 45;
-  EXPECT_EQ(make_policy(config)->params(), "decay=45s");
-  config.kind = PolicyKind::kMaglev;
-  EXPECT_EQ(make_policy(config)->params(), "table=2039");
   config.kind = PolicyKind::kGreedy;
   EXPECT_EQ(make_policy(config)->params(), "");
-}
-
-// ---- Maglev table ----
-
-TEST(MaglevTable, LookupIsDeterministicAndCoversAllBackends) {
-  MaglevTable a, b;
-  const std::vector<ServerId> servers = {3, 7, 11, 19};
-  a.build(servers);
-  b.build({19, 11, 7, 3});  // order-insensitive
-  std::set<ServerId> seen;
-  for (int i = 0; i < 500; ++i) {
-    const Channel c = "c" + std::to_string(i);
-    EXPECT_EQ(a.lookup(c), b.lookup(c));
-    seen.insert(a.lookup(c));
-  }
-  EXPECT_EQ(seen.size(), servers.size());
-}
-
-TEST(MaglevTable, TableSplitsEvenly) {
-  MaglevTable table(2039);
-  table.build({1, 2, 3, 4, 5});
-  std::map<ServerId, int> slots;
-  for (ServerId s : table.entries()) slots[s]++;
-  ASSERT_EQ(slots.size(), 5u);
-  for (const auto& [server, count] : slots) {
-    // Maglev bounds the spread to within ~1% of fair share at M >> N; be
-    // generous and require within 20%.
-    EXPECT_GT(count, 2039 / 5 * 0.8) << "server " << server;
-    EXPECT_LT(count, 2039 / 5 * 1.2) << "server " << server;
-  }
-}
-
-TEST(MaglevTable, RemovalDisruptionIsNearMinimal) {
-  // The Maglev guarantee: when a backend leaves, (almost) only the keys it
-  // owned move. Measure collateral movement among keys of surviving
-  // backends; the paper's construction keeps it to a few percent.
-  MaglevTable table(2039);
-  table.build({1, 2, 3, 4, 5});
-  const int keys = 8000;
-  std::map<Channel, ServerId> before;
-  for (int i = 0; i < keys; ++i) {
-    const Channel c = "k" + std::to_string(i);
-    before[c] = table.lookup(c);
-  }
-  table.build({1, 2, 4, 5});  // backend 3 leaves
-  int victim_keys = 0, victim_moved = 0, collateral = 0, survivors = 0;
-  for (const auto& [c, old] : before) {
-    const ServerId now = table.lookup(c);
-    if (old == 3u) {
-      ++victim_keys;
-      if (now != 3u) ++victim_moved;
-    } else {
-      ++survivors;
-      if (now != old) ++collateral;
-    }
-  }
-  EXPECT_EQ(victim_moved, victim_keys);  // every orphaned key re-homed
-  EXPECT_LT(static_cast<double>(collateral) / survivors, 0.05)
-      << collateral << " of " << survivors << " surviving keys moved";
-}
-
-TEST(MaglevTable, AdditionDisruptionIsNearMinimal) {
-  MaglevTable table(2039);
-  table.build({1, 2, 3, 4});
-  const int keys = 8000;
-  std::map<Channel, ServerId> before;
-  for (int i = 0; i < keys; ++i) {
-    const Channel c = "k" + std::to_string(i);
-    before[c] = table.lookup(c);
-  }
-  table.build({1, 2, 3, 4, 5});
-  int moved_to_new = 0, shuffled = 0;
-  for (const auto& [c, old] : before) {
-    const ServerId now = table.lookup(c);
-    if (now == old) continue;
-    if (now == 5u) ++moved_to_new;
-    else ++shuffled;
-  }
-  // ~1/5 of keys should land on the newcomer; cross-survivor shuffles stay
-  // marginal.
-  EXPECT_GT(moved_to_new, keys / 10);
-  EXPECT_LT(moved_to_new, keys / 3);
-  EXPECT_LT(static_cast<double>(shuffled) / keys, 0.05);
-}
-
-TEST(MaglevTableDeathTest, NonPrimeTableSizeAborts) {
-  EXPECT_DEATH(MaglevTable(2040), "");
-}
-
-TEST(MaglevTable, EmptyBuildClearsAndSingleBackendOwnsAll) {
-  MaglevTable table(251);
-  table.build({42});
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(table.lookup("c" + std::to_string(i)), 42u);
-  table.build({});
-  EXPECT_TRUE(table.empty());
 }
 
 // ---- greedy through the interface ----
@@ -273,85 +155,34 @@ TEST(BoundedLoadPolicy, OverflowFlagsAndSpawns) {
   EXPECT_EQ(ops.spawns(), 1u);
 }
 
-// ---- peak-ewma ----
+TEST(BoundedLoadPolicy, DrainShrinksReplicaSetLikeGreedy) {
+  // A channel replicated across three servers keeps its replication mode when
+  // one replica's server drains: the drain sheds only that replica, exactly
+  // as greedy's does, instead of collapsing the channel onto one server.
+  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad}) {
+    PolicyConfig config;
+    config.kind = kind;
+    const auto policy = make_policy(config);
 
-TEST(PeakEwmaPolicy, ScoreDecaysExponentiallyAfterSpike) {
-  PolicyConfig config;
-  config.kind = PolicyKind::kPeakEwma;
-  config.ewma_decay_s = 30;
-  PeakEwmaPolicy policy(config);
+    FakeRoundOps ops;
+    ops.add_server(1, 1e5, /*on_base_ring=*/true);
+    ops.add_server(2, 1e5, /*on_base_ring=*/false);
+    ops.add_server(3, 1e5, /*on_base_ring=*/false);
+    ops.mutable_plan().set_entry(
+        "hot", core::PlanEntry{{1, 2, 3}, core::ReplicationMode::kAllSubscribers, 1});
+    ops.offer("hot", 300);
 
-  FakeRoundOps ops;
-  ops.add_server(1, 1000, true);
-  ops.add_server(2, 1000, true);
-  ops.mutable_plan().set_entry("a", core::PlanEntry{{1}, core::ReplicationMode::kNone, 1});
-  ops.offer("a", 600);  // LR 0.6 spike on server 1
-  policy.system_rebalance(ops, true);
-  EXPECT_NEAR(policy.score(1), 0.6, 1e-9);
+    policy->system_rebalance(ops, /*scale_down_allowed=*/true);
 
-  // Load vanishes; one decay constant later the peak is down to 1/e.
-  ops.clear_channel("a");
-  ops.advance(seconds(30));
-  policy.system_rebalance(ops, true);
-  EXPECT_NEAR(policy.score(1), 0.6 * std::exp(-1.0), 1e-6);
-  EXPECT_GT(policy.score(1), 0.0);  // remembered, not forgotten
-}
-
-TEST(PeakEwmaPolicy, MigratesTowardColdestPeakServer) {
-  PolicyConfig config;
-  config.kind = PolicyKind::kPeakEwma;
-  PeakEwmaPolicy policy(config);
-
-  FakeRoundOps ops;
-  ops.add_server(1, 1000, true);
-  ops.add_server(2, 1000, true);
-  ops.add_server(3, 1000, true);
-  // Warm round: server 2 runs hot (peak sticks), server 3 stays cold.
-  ops.mutable_plan().set_entry("warm", core::PlanEntry{{2}, core::ReplicationMode::kNone, 1});
-  ops.offer("warm", 700);
-  policy.system_rebalance(ops, true);
-
-  // Next round: server 2's load is gone (instantaneous), server 1 overloads.
-  ops.clear_channel("warm");
-  ops.advance(seconds(1));
-  ops.mutable_plan().set_entry("hot1", core::PlanEntry{{1}, core::ReplicationMode::kNone, 1});
-  ops.mutable_plan().set_entry("hot2", core::PlanEntry{{1}, core::ReplicationMode::kNone, 1});
-  ops.offer("hot1", 500);
-  ops.offer("hot2", 400);
-  ops.reset_round();
-  policy.system_rebalance(ops, true);
-
-  // The decayed peak still marks server 2 as recently hot, so the busiest
-  // channel must land on server 3 even though 2 and 3 are equally idle now.
-  ASSERT_FALSE(ops.moves().empty());
-  EXPECT_EQ(ops.moves().front().channel, "hot1");
-  EXPECT_EQ(ops.moves().front().to, std::vector<ServerId>{3u});
-}
-
-// ---- maglev policy (through the interface) ----
-
-TEST(MaglevPolicy, PinsChannelsToTableOwnersOnMembershipChange) {
-  PolicyConfig config;
-  config.kind = PolicyKind::kMaglev;
-  MaglevPolicy policy(config);
-
-  FakeRoundOps ops;
-  ops.add_server(1, 1000, true);
-  ops.add_server(2, 1000, true);
-  for (int i = 0; i < 12; ++i) ops.offer("c" + std::to_string(i), 10);
-  policy.system_rebalance(ops, true);  // first build: membership {} -> {1,2}
-
-  for (int i = 0; i < 12; ++i) {
-    const Channel c = "c" + std::to_string(i);
-    const core::PlanEntry entry = ops.plan().resolve(c, ops.base_ring());
-    EXPECT_EQ(entry.servers, std::vector<ServerId>{policy.table().lookup(c)}) << c;
+    EXPECT_EQ(ops.drained(), 2u) << to_string(kind);
+    ASSERT_EQ(ops.moves().size(), 1u) << to_string(kind);
+    EXPECT_EQ(ops.moves().front().channel, "hot");
+    EXPECT_EQ(ops.moves().front().to, (std::vector<ServerId>{1u, 3u})) << to_string(kind);
+    EXPECT_EQ(ops.moves().front().reason, "shrink replicas off draining server 2");
+    const core::PlanEntry hot = ops.plan().resolve("hot", ops.base_ring());
+    EXPECT_EQ(hot.mode, core::ReplicationMode::kAllSubscribers) << to_string(kind);
+    EXPECT_EQ(hot.version, 2u) << to_string(kind);
   }
-
-  // Stable membership, stable load: no further churn.
-  ops.reset_round();
-  for (int i = 0; i < 12; ++i) ops.offer("c" + std::to_string(i), 10);
-  policy.system_rebalance(ops, true);
-  EXPECT_TRUE(ops.moves().empty());
 }
 
 // ---- emergency homing ----
