@@ -119,18 +119,21 @@ TEST_P(ReplicationSweep, ExactlyOnceAndWireContract) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ReplicationSweep,
-    testing::Values(
-        ReplicationParams{core::ReplicationMode::kNone, 1, false},
-        ReplicationParams{core::ReplicationMode::kNone, 1, true},
-        ReplicationParams{core::ReplicationMode::kAllSubscribers, 2, false},
-        ReplicationParams{core::ReplicationMode::kAllSubscribers, 3, false},
-        ReplicationParams{core::ReplicationMode::kAllSubscribers, 4, true},
-        ReplicationParams{core::ReplicationMode::kAllPublishers, 2, false},
-        ReplicationParams{core::ReplicationMode::kAllPublishers, 3, true},
-        ReplicationParams{core::ReplicationMode::kAllPublishers, 4, false}),
-    param_name);
+// The cases live in static storage so their padding bytes are zero: gtest
+// prints the raw bytes of the param in each test's listed name, and bytes
+// left over from the stack would make those names change from build to build.
+constexpr ReplicationParams kCases[] = {
+    {core::ReplicationMode::kNone, 1, false},
+    {core::ReplicationMode::kNone, 1, true},
+    {core::ReplicationMode::kAllSubscribers, 2, false},
+    {core::ReplicationMode::kAllSubscribers, 3, false},
+    {core::ReplicationMode::kAllSubscribers, 4, true},
+    {core::ReplicationMode::kAllPublishers, 2, false},
+    {core::ReplicationMode::kAllPublishers, 3, true},
+    {core::ReplicationMode::kAllPublishers, 4, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, ReplicationSweep, testing::ValuesIn(kCases), param_name);
 
 }  // namespace
 }  // namespace dynamoth
