@@ -100,7 +100,7 @@ RunRow run_crash(placement::PolicyKind kind, bool smoke, std::ofstream& audit_ou
   row.mean_ms = r.delivery_us.mean() / 1000.0;
   row.plans = r.lb_stats.plans_generated;
   row.moves = r.lb_stats.channels_migrated;
-  row.peak_servers = static_cast<double>(config.servers);  // fixed fleet
+  row.peak_servers = static_cast<double>(harness::FailoverConfig::kServers);  // fixed fleet
   row.emergency = r.lb_stats.emergency_rebalances;
   row.lost = r.lost;
   row.delivered = r.delivered_unique;

@@ -25,6 +25,11 @@ const char* to_string(RebalanceKind kind) {
 }
 
 namespace {
+/// Decision-round period: the paper's time unit t.
+constexpr SimTime kTickInterval = seconds(1);
+/// Reports averaged over this many windows when computing load ratios.
+constexpr std::size_t kLrWindow = 3;
+
 ClientId balancer_client_id(NodeId node) { return 0x3000'0000'0000'0000ull + node; }
 }  // namespace
 
@@ -42,7 +47,7 @@ BalancerBase::BalancerBase(sim::Simulator& sim, net::Network& network,
       plan_(make_plan_zero()),
       detector_(config.detector),
       client_id_(balancer_client_id(node)),
-      ticker_(sim, config.tick_interval, [this] { tick(); }) {
+      ticker_(sim, kTickInterval, [this] { tick(); }) {
   DYN_CHECK(base_ring_ != nullptr);
 }
 
@@ -108,7 +113,7 @@ void BalancerBase::ingest_report(const LoadReport& report) {
   ServerState& state = it->second;
   state.capacity = report.advertised_capacity;
   state.reports.push_back(report);
-  while (state.reports.size() > base_config_.lr_window) state.reports.pop_front();
+  while (state.reports.size() > kLrWindow) state.reports.pop_front();
   if (base_config_.detect_failures) detector_.heartbeat(report.server, sim_.now());
 }
 
@@ -119,8 +124,7 @@ void BalancerBase::tick() {
 }
 
 void BalancerBase::purge_stale_reports() {
-  if (base_config_.report_max_age <= 0) return;
-  const SimTime cutoff = sim_.now() - base_config_.report_max_age;
+  const SimTime cutoff = sim_.now() - kReportMaxAge;
   for (auto& [id, state] : servers_) {
     while (!state.reports.empty() && state.reports.front().window_end < cutoff) {
       state.reports.pop_front();

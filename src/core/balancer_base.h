@@ -46,18 +46,14 @@ struct RebalanceEvent {
 
 class BalancerBase {
  public:
+  /// Reports older than this are purged before each decision round, so a
+  /// silent (dead or partitioned) server's last-window numbers stop feeding
+  /// est_lr / servers_by_load. Keep this above the failure detector's
+  /// timeout: the emergency rebalance wants the dead server's final report
+  /// to know which channels it owned.
+  static constexpr SimTime kReportMaxAge = seconds(10);
+
   struct BaseConfig {
-    SimTime tick_interval = seconds(1);
-    /// Reports averaged over this many windows when computing load ratios.
-    std::size_t lr_window = 3;
-
-    /// Reports older than this are purged before each decision round, so a
-    /// silent (dead or partitioned) server's last-window numbers stop
-    /// feeding est_lr / servers_by_load. 0 disables the purge. Keep this
-    /// above the failure detector's timeout: the emergency rebalance wants
-    /// the dead server's final report to know which channels it owned.
-    SimTime report_max_age = seconds(10);
-
     /// Enables the heartbeat failure detector: LLA reports double as
     /// liveness beacons, and a server silent past the detector's threshold
     /// triggers handle_server_failure() (emergency rebalance in the
@@ -132,7 +128,7 @@ class BalancerBase {
  protected:
   struct ServerState {
     std::unique_ptr<ps::RemoteConnection> conn;
-    std::deque<LoadReport> reports;  // most recent last, bounded by lr_window
+    std::deque<LoadReport> reports;  // most recent last, bounded by kLrWindow
     double capacity = 0;             // T_i from reports
     bool retiring = false;           // excluded from placement targets
   };

@@ -8,6 +8,35 @@
 
 namespace dynamoth::core {
 
+namespace {
+/// Message ids remembered for duplicate suppression.
+constexpr std::size_t kDedupCapacity = 8192;
+/// Payload of a publish() that names no size.
+constexpr std::size_t kDefaultPayloadBytes = 128;
+}  // namespace
+
+DynamothClient::Stats& DynamothClient::Stats::operator+=(const Stats& other) {
+  static_assert(sizeof(Stats) == 16 * sizeof(std::uint64_t),
+                "add the new counter to the sum below");
+  published += other.published;
+  messages_sent += other.messages_sent;
+  received += other.received;
+  duplicates_suppressed += other.duplicates_suppressed;
+  stale_drops += other.stale_drops;
+  wrong_server_replies += other.wrong_server_replies;
+  switches_followed += other.switches_followed;
+  connection_drops += other.connection_drops;
+  entries_expired += other.entries_expired;
+  fallback_resubscribes += other.fallback_resubscribes;
+  refused_publishes += other.refused_publishes;
+  pending_flushed += other.pending_flushed;
+  publishes_dropped += other.publishes_dropped;
+  republishes += other.republishes;
+  pattern_deliveries += other.pattern_deliveries;
+  patterns_expanded += other.patterns_expanded;
+  return *this;
+}
+
 DynamothClient::DynamothClient(sim::Simulator& sim, net::Network& network,
                                ServerRegistry& registry,
                                std::shared_ptr<const ConsistentHashRing> base_ring,
@@ -20,7 +49,7 @@ DynamothClient::DynamothClient(sim::Simulator& sim, net::Network& network,
       id_(id),
       config_(config),
       rng_(rng),
-      dedup_(config.dedup_capacity),
+      dedup_(kDedupCapacity),
       ctl_channel_(client_control_channel(id)),
       sweeper_(sim, config.sweep_interval, [this] { sweep(); }),
       alive_(std::make_shared<bool>(true)) {
@@ -406,7 +435,7 @@ ps::EnvelopePtr DynamothClient::publish(const Channel& channel, std::size_t payl
   env->id = MessageId{id_, next_seq_++};
   env->kind = ps::MsgKind::kData;
   env->channel = channel;
-  env->payload_bytes = payload_bytes ? payload_bytes : config_.default_payload_bytes;
+  env->payload_bytes = payload_bytes ? payload_bytes : kDefaultPayloadBytes;
   env->publish_time = sim_.now();
   env->publisher = id_;
   env->channel_seq = ++st.next_channel_seq;

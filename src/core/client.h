@@ -44,8 +44,6 @@ class DynamothClient : private ChannelTable::Listener {
                                              // when moving a subscription, so
                                              // in-flight forwards are not lost
     SimTime reconnect_delay = millis(500);   // after the server dropped us
-    std::size_t dedup_capacity = 8192;
-    std::size_t default_payload_bytes = 128;
 
     /// Publishes that could not reach any live server wait here for the
     /// next flush (a later publish or the sweep); the oldest is dropped on
@@ -100,6 +98,9 @@ class DynamothClient : private ChannelTable::Listener {
     // Pattern subscriptions (DESIGN.md section 14).
     std::uint64_t pattern_deliveries = 0;  // handler invocations through patterns
     std::uint64_t patterns_expanded = 0;   // pattern -> channel expansions
+
+    /// Adds every counter of `other` (fleet-wide totals).
+    Stats& operator+=(const Stats& other);
   };
 
   /// Move-only, inline up to 48 capture bytes: installing a handler does not
@@ -138,8 +139,9 @@ class DynamothClient : private ChannelTable::Listener {
   /// interest (explicit or pattern) are unsubscribed immediately.
   void punsubscribe(const std::string& pattern);
 
-  /// Publishes `payload_bytes` of application data on `channel`. Returns the
-  /// envelope (callers use its id/publish_time for RTT measurements).
+  /// Publishes `payload_bytes` of application data on `channel` (0: the
+  /// library's 128-byte default). Returns the envelope (callers use its
+  /// id/publish_time for RTT measurements).
   ps::EnvelopePtr publish(const Channel& channel, std::size_t payload_bytes = 0);
 
   /// Publishes a caller-built control envelope (kind kControl) on `channel`

@@ -11,6 +11,12 @@
 namespace dynamoth::core {
 
 namespace {
+/// How long a server that *joined* an all-subscribers replica set keeps
+/// forwarding to the previous members (covers the window until their
+/// subscribers have subscribed here too). Much shorter than forward_timeout:
+/// it only spans switch propagation, not client-plan expiry.
+constexpr SimTime kReplicaJoinSync = seconds(5);
+
 ClientId dispatcher_client_id(ServerId server) {
   return 0x2000'0000'0000'0000ull + server;
 }
@@ -148,7 +154,7 @@ void Dispatcher::apply_plan(PlanPtr plan) {
       // by the new placement: old owners that left the set (until drained or
       // forward_timeout), and — when this server *joined* an all-subscribers
       // replica set — the old members, whose subscribers have not subscribed
-      // here yet (short replica_join_sync window; switch notifications
+      // here yet (short kReplicaJoinSync window; switch notifications
       // re-place them almost immediately).
       for (ServerId s : old_entry.servers) {
         if (s == self_) continue;
@@ -156,7 +162,7 @@ void Dispatcher::apply_plan(PlanPtr plan) {
           drain_[cid].old_owners[s] = expires;
           set_flag(cid, kFlagDrain);
         } else if (!was_owner && new_entry.mode == ReplicationMode::kAllSubscribers) {
-          drain_[cid].old_owners[s] = sim_.now() + config_.replica_join_sync;
+          drain_[cid].old_owners[s] = sim_.now() + kReplicaJoinSync;
           set_flag(cid, kFlagDrain);
         }
       }

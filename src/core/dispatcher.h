@@ -44,12 +44,6 @@ class Dispatcher final : public ps::LocalObserver {
     /// How long to keep redirect/forwarding state for a moved channel; pairs
     /// with the clients' plan-entry timeout (paper IV-A5).
     SimTime forward_timeout = seconds(30);
-    /// How long a server that *joined* an all-subscribers replica set keeps
-    /// forwarding to the previous members (covers the window until their
-    /// subscribers have subscribed here too). Much shorter than
-    /// forward_timeout: it only spans switch propagation, not client-plan
-    /// expiry.
-    SimTime replica_join_sync = seconds(5);
     SimTime cleanup_interval = seconds(5);
   };
 

@@ -10,6 +10,9 @@
 namespace dynamoth::core {
 
 namespace {
+/// Report period: the paper's time unit t.
+constexpr SimTime kReportInterval = seconds(1);
+
 /// Pseudo client id for infrastructure components colocated with a server.
 ClientId infra_client_id(ServerId server) {
   return 0x1000'0000'0000'0000ull + server;
@@ -22,7 +25,7 @@ LocalLoadAnalyzer::LocalLoadAnalyzer(sim::Simulator& sim, net::Network& network,
       network_(network),
       server_(server),
       config_(config),
-      reporter_(sim, config.report_interval, [this] { emit_report(); }) {
+      reporter_(sim, kReportInterval, [this] { emit_report(); }) {
   DYN_CHECK(config_.advertised_capacity > 0);
 }
 
@@ -65,7 +68,7 @@ void LocalLoadAnalyzer::on_publish(const ps::EnvelopePtr& env, std::size_t subsc
   if (ChannelTable::instance().is_control(cid)) return;
   if (window_.size() <= cid) window_.resize(cid + 1);
   Accum& a = window_[cid];
-  const std::size_t bytes = ps::wire_size(*env, server_.config().msg_overhead_bytes);
+  const std::size_t bytes = ps::wire_size(*env, ps::kMsgOverheadBytes);
   // subscriber_count arrives already weighted (modeled subscribers), so the
   // delivery/byte/CPU series are exactly what the expanded population would
   // have produced.

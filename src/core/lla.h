@@ -30,7 +30,6 @@ namespace dynamoth::core {
 class LocalLoadAnalyzer final : public ps::LocalObserver {
  public:
   struct Config {
-    SimTime report_interval = seconds(1);  // the paper's time unit t
     double advertised_capacity = 1.5e6;    // T_i, bytes/sec
   };
 

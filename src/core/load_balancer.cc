@@ -10,6 +10,11 @@
 
 namespace dynamoth::core {
 
+namespace {
+/// Upper bound on an Algorithm 1 replica set (the fleet size caps it too).
+constexpr std::size_t kMaxReplicas = 8;
+}  // namespace
+
 DynamothLoadBalancer::DynamothLoadBalancer(sim::Simulator& sim, net::Network& network,
                                            ServerRegistry& registry,
                                            std::shared_ptr<const ConsistentHashRing> base_ring,
@@ -317,7 +322,7 @@ void DynamothLoadBalancer::channel_level_rebalance(Round& r) {
       n_servers = static_cast<std::size_t>(std::ceil(s_ratio / config_.all_pubs_threshold));
     }
     n_servers = std::clamp<std::size_t>(n_servers, want == ReplicationMode::kNone ? 1 : 2,
-                                        std::min(config_.max_replicas, fleet));
+                                        std::min(kMaxReplicas, fleet));
 
     if (want == current.mode &&
         (want == ReplicationMode::kNone || n_servers == current.servers.size())) {

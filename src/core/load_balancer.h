@@ -50,7 +50,6 @@ class DynamothLoadBalancer final : public BalancerBase {
     double publication_threshold = 1000;  // min publications/s
     double all_pubs_threshold = 90;     // S_ratio: subscribers per publication /s
     double subscriber_threshold = 250;  // min subscribers
-    std::size_t max_replicas = 8;
 
     // Fleet sizing.
     std::size_t max_servers = 8;

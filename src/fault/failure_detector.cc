@@ -5,6 +5,14 @@
 
 namespace dynamoth::fault {
 
+namespace {
+/// Inter-arrival samples kept per server for the phi estimate.
+constexpr std::size_t kPhiWindow = 32;
+/// Floor on the inter-arrival standard deviation, so a perfectly regular
+/// heartbeat does not make phi explode on microscopic jitter.
+constexpr SimTime kMinIntervalStd = millis(100);
+}  // namespace
+
 void FailureDetector::watch(ServerId server, SimTime now) {
   State& st = watched_[server];  // re-watching resets the grace period
   st.last = now;
@@ -20,7 +28,7 @@ void FailureDetector::heartbeat(ServerId server, SimTime now) {
   const SimTime interval = now - st.last;
   if (interval > 0) {
     st.intervals.push_back(interval);
-    while (st.intervals.size() > config_.window) st.intervals.pop_front();
+    while (st.intervals.size() > kPhiWindow) st.intervals.pop_front();
   }
   st.last = std::max(st.last, now);
 }
@@ -47,7 +55,7 @@ double FailureDetector::phi(ServerId server, SimTime now) const {
     var += d * d;
   }
   var /= static_cast<double>(st.intervals.size());
-  const double sigma = std::max(std::sqrt(var), static_cast<double>(config_.min_interval_std));
+  const double sigma = std::max(std::sqrt(var), static_cast<double>(kMinIntervalStd));
 
   // P(silence >= t) under the normal approximation of the inter-arrival
   // distribution; phi = -log10 of that tail probability.

@@ -39,11 +39,6 @@ class FailureDetector {
     /// inter-arrival samples (>= 3) have been observed.
     bool phi_accrual = false;
     double phi_threshold = 8.0;
-    /// Inter-arrival samples kept per server for the phi estimate.
-    std::size_t window = 32;
-    /// Floor on the inter-arrival standard deviation, so a perfectly
-    /// regular heartbeat does not make phi explode on microscopic jitter.
-    SimTime min_interval_std = millis(100);
   };
 
   FailureDetector() : FailureDetector(Config{}) {}

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "harness/cluster.h"
 #include "harness/fault_adapter.h"
 #include "reliability/replay_service.h"
 #include "sim/simulator.h"
@@ -25,22 +26,21 @@ struct SubscriberState {
 }  // namespace
 
 FailoverResult run_failover(const FailoverConfig& config) {
-  ClusterConfig cluster_config = config.cluster;
+  ClusterConfig cluster_config;
   cluster_config.seed = config.seed;
-  cluster_config.initial_servers = config.servers;
+  cluster_config.initial_servers = FailoverConfig::kServers;
   Cluster cluster(cluster_config);
   sim::Simulator& sim = cluster.sim();
   Rng rng = cluster.fork_rng("failover");
 
   core::DynamothLoadBalancer::Config lb_config;
-  lb_config.t_wait = config.t_wait;
+  lb_config.t_wait = FailoverConfig::kTWait;
   lb_config.base.detect_failures = true;
   lb_config.base.detector.timeout = config.detector_timeout;
-  lb_config.base.detector.phi_accrual = config.phi_accrual;
   // Replication decisions would entangle loss accounting with dedup paths;
   // the failover figures study crash recovery, not replication.
   lb_config.enable_replication = false;
-  lb_config.max_servers = config.servers;
+  lb_config.max_servers = FailoverConfig::kServers;
   lb_config.placement = config.placement;
   auto& lb = cluster.use_dynamoth(lb_config);
 
@@ -48,7 +48,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
 
   // ---- clients ----
   std::vector<Channel> channels;
-  for (std::size_t i = 0; i < config.channels; ++i) {
+  for (std::size_t i = 0; i < FailoverConfig::kChannels; ++i) {
     channels.push_back("game" + std::to_string(i));
   }
 
@@ -71,7 +71,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
   rel::ReliableSubscriber::Config rel_config;
   rel_config.retry_interval = seconds(2);
   rel_config.max_retries = 100;  // outlive multi-second outages
-  for (std::size_t i = 0; i < config.subscribers; ++i) {
+  for (std::size_t i = 0; i < FailoverConfig::kSubscribers; ++i) {
     auto sub = std::make_unique<SubscriberState>();
     sub->client = &cluster.add_client(client_config(false));
     if (config.reliability) {
@@ -95,7 +95,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
   }
 
   std::vector<core::DynamothClient*> publishers;
-  for (std::size_t i = 0; i < config.channels; ++i) {
+  for (std::size_t i = 0; i < FailoverConfig::kChannels; ++i) {
     publishers.push_back(&cluster.add_client(client_config(true)));
   }
 
@@ -144,32 +144,21 @@ FailoverResult run_failover(const FailoverConfig& config) {
   auto servers_g = reg.gauge("active_servers");
 
   // ---- faults ----
-  ClusterFaultAdapter adapter(cluster, config.ring_safe_faults);
+  ClusterFaultAdapter adapter(cluster);
   fault::FaultInjector injector(sim, adapter, config.schedule, rng.fork("inject"));
 
   auto refresh_metrics = [&] {
     std::uint64_t pub_total = 0;
     core::DynamothClient::Stats totals;
-    auto accumulate = [&](const core::DynamothClient::Stats& s) {
-      totals.connection_drops += s.connection_drops;
-      totals.fallback_resubscribes += s.fallback_resubscribes;
-      totals.refused_publishes += s.refused_publishes;
-      totals.pending_flushed += s.pending_flushed;
-      totals.publishes_dropped += s.publishes_dropped;
-      totals.republishes += s.republishes;
-      totals.duplicates_suppressed += s.duplicates_suppressed;
-      totals.wrong_server_replies += s.wrong_server_replies;
-      totals.switches_followed += s.switches_followed;
-    };
     std::uint64_t delivered = 0;
     std::uint64_t handled = 0;
     for (const auto& sub : subs) {
-      accumulate(sub->client->stats());
+      totals += sub->client->stats();
       for (const auto& [_, seqs] : sub->seen) delivered += seqs.size();
       handled += sub->handled;
     }
     for (const auto* pub : publishers) {
-      accumulate(pub->stats());
+      totals += pub->stats();
       pub_total += pub->stats().published;
     }
     published_c.set(pub_total);
@@ -193,11 +182,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
     faults_c.set(injector.log().size());
     if (config.reliability) {
       rel::ReliableSubscriber::Stats rel_totals;
-      for (const auto& sub : subs) {
-        rel_totals.gaps_detected += sub->reliable->stats().gaps_detected;
-        rel_totals.recovered += sub->reliable->stats().recovered;
-        rel_totals.gave_up += sub->reliable->stats().gave_up;
-      }
+      for (const auto& sub : subs) rel_totals += sub->reliable->stats();
       rel_gaps_c.set(rel_totals.gaps_detected);
       rel_recovered_c.set(rel_totals.recovered);
       rel_gaveup_c.set(rel_totals.gave_up);
@@ -207,14 +192,13 @@ FailoverResult run_failover(const FailoverConfig& config) {
   };
 
   // ---- run ----
-  sim.run_for(config.settle);
+  sim.run_for(FailoverConfig::kSettle);
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> traffic;
-  for (std::size_t i = 0; i < config.channels; ++i) {
+  for (std::size_t i = 0; i < FailoverConfig::kChannels; ++i) {
     auto task = std::make_unique<sim::PeriodicTask>(
-        sim, config.publish_interval,
-        [pub = publishers[i], c = channels[i], bytes = config.payload_bytes] {
-          pub->publish(c, bytes);
+        sim, FailoverConfig::kPublishInterval, [pub = publishers[i], c = channels[i]] {
+          pub->publish(c, FailoverConfig::kPayloadBytes);
         });
     traffic.push_back(std::move(task));
   }
@@ -224,7 +208,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
                        [t = traffic[i].get()] { t->start(); });
   }
 
-  sim::PeriodicTask windower(sim, config.window, [&] {
+  sim::PeriodicTask windower(sim, FailoverConfig::kWindow, [&] {
     refresh_metrics();
     reg.end_window(sim.now());
   });
@@ -245,7 +229,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
   std::uint64_t published = 0;
   for (const auto* pub : publishers) published += pub->stats().published;
   result.published = published;
-  result.expected = published * config.subscribers;
+  result.expected = published * FailoverConfig::kSubscribers;
   std::uint64_t delivered = 0;
   std::uint64_t handled = 0;
   for (const auto& sub : subs) {
@@ -261,14 +245,7 @@ FailoverResult run_failover(const FailoverConfig& config) {
   result.fault_stats = injector.stats();
   result.lb_stats = lb.stats();
   if (config.reliability) {
-    for (const auto& sub : subs) {
-      const auto& s = sub->reliable->stats();
-      result.reliability_totals.delivered += s.delivered;
-      result.reliability_totals.gaps_detected += s.gaps_detected;
-      result.reliability_totals.replays_requested += s.replays_requested;
-      result.reliability_totals.recovered += s.recovered;
-      result.reliability_totals.gave_up += s.gave_up;
-    }
+    for (const auto& sub : subs) result.reliability_totals += sub->reliable->stats();
   }
   std::ostringstream audit;
   lb.audit().write_timeline(audit);

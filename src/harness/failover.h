@@ -22,48 +22,43 @@
 #include "metrics/histogram.h"
 #include "placement/policy.h"
 #include "fault/schedule.h"
-#include "harness/cluster.h"
 #include "obs/metrics_registry.h"
 #include "reliability/reliable_subscriber.h"
 
 namespace dynamoth::harness {
 
 struct FailoverConfig {
-  std::uint64_t seed = 1;
-  std::size_t servers = 4;  // all consistent-hash ring members
-  std::size_t channels = 6;
-  std::size_t subscribers = 3;  // clients; each subscribes to every channel
-  SimTime publish_interval = millis(100);  // per channel (one publisher each)
-  std::size_t payload_bytes = 200;
+  static constexpr std::size_t kServers = 4;  // all consistent-hash ring members
+  static constexpr std::size_t kChannels = 6;
+  static constexpr std::size_t kSubscribers = 3;  // clients; each subscribes to every channel
+  static constexpr SimTime kPublishInterval = millis(100);  // per channel (one publisher each)
+  static constexpr std::size_t kPayloadBytes = 200;
+  static constexpr SimTime kSettle = seconds(2);  // subscriptions placed before traffic
+  static constexpr SimTime kWindow = seconds(1);  // metrics window
+  static constexpr SimTime kTWait = seconds(15);
 
-  SimTime settle = seconds(2);    // subscriptions placed before traffic
+  std::uint64_t seed = 1;
   SimTime duration = seconds(60); // traffic (faults are armed at its start)
   SimTime drain = seconds(25);    // quiesce: replay retries, late windows
-  SimTime window = seconds(1);    // metrics window
 
   /// Wrap every subscriber in the gap-detecting replay layer.
   bool reliability = false;
 
+  /// Every server is crashable, ring members included: with eager plan
+  /// propagation the emergency rebalance can re-home ring-resolved
+  /// channels, so ring crashes are survivable here.
   fault::FaultSchedule schedule;
   /// Injector arm time relative to traffic start. Schedules with faults
   /// near t=0 should leave a few seconds so every subscriber establishes
   /// its per-publisher sequence baseline first (gap detection is relative
   /// to the first message seen).
   SimTime fault_delay = 0;
-  /// Keep ring members uncrashable. Off by default: with eager plan
-  /// propagation the emergency rebalance can re-home ring-resolved
-  /// channels, so ring crashes are survivable here.
-  bool ring_safe_faults = false;
 
   SimTime detector_timeout = seconds(4);
-  bool phi_accrual = false;
-  SimTime t_wait = seconds(15);
 
   /// Placement policy for the system-level rebalance slot (and the
   /// emergency re-home path the crash schedule exercises).
   placement::PolicyConfig placement;
-
-  ClusterConfig cluster;  // seed/initial_servers overwritten
 };
 
 struct FailoverResult {

@@ -1,16 +1,10 @@
 #include "harness/fault_adapter.h"
 
-#include <algorithm>
-
 namespace dynamoth::harness {
 
 std::vector<ServerId> ClusterFaultAdapter::crashable_servers() const {
   std::vector<ServerId> live = cluster_.server_ids();
   if (live.size() <= 1) return {};  // never take the whole fleet down
-  if (ring_safe_) {
-    const auto& ring = cluster_.base_ring()->servers();
-    std::erase_if(live, [&](ServerId s) { return ring.contains(s); });
-  }
   return live;
 }
 

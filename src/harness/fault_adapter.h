@@ -1,11 +1,8 @@
 // Bridges the fault injector onto a live Cluster: FaultTarget calls turn
-// into Cluster crash/restart operations and Network fault hooks.
-//
-// `ring_safe` (default on) keeps consistent-hash ring members out of the
-// crashable pool: the lazy-repair protocol has no way to re-home a channel
-// whose *ring* owner is gone unless the balancer pushes plans eagerly, so
-// random schedules would otherwise wedge baseline (no-balancer) runs. The
-// chaos experiments that study ring-member loss opt out explicitly.
+// into Cluster crash/restart operations and Network fault hooks. While two
+// or more servers are live, all of them are crashable, consistent-hash ring
+// members included: the experiments that drive it push plans eagerly, so
+// the emergency rebalance can re-home a dead ring owner's channels.
 #pragma once
 
 #include <map>
@@ -18,8 +15,7 @@ namespace dynamoth::harness {
 
 class ClusterFaultAdapter final : public fault::FaultTarget {
  public:
-  explicit ClusterFaultAdapter(Cluster& cluster, bool ring_safe = true)
-      : cluster_(cluster), ring_safe_(ring_safe) {}
+  explicit ClusterFaultAdapter(Cluster& cluster) : cluster_(cluster) {}
 
   [[nodiscard]] std::vector<ServerId> crashable_servers() const override;
   [[nodiscard]] std::vector<ServerId> crashed_servers() const override {
@@ -44,7 +40,6 @@ class ClusterFaultAdapter final : public fault::FaultTarget {
 
  private:
   Cluster& cluster_;
-  bool ring_safe_;
   /// Original egress line rates of currently degraded servers.
   std::map<ServerId, double> degraded_;
 };

@@ -146,27 +146,26 @@ FlashCrowdSchedule FlashCrowdSchedule::random(std::uint64_t seed,
 FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
   ClusterConfig cluster_config = config.cluster;
   cluster_config.seed = config.seed;
-  cluster_config.initial_servers = config.servers;
+  cluster_config.initial_servers = FlashCrowdConfig::kServers;
   Cluster cluster(cluster_config);
   sim::Simulator& sim = cluster.sim();
   Rng rng = cluster.fork_rng("flashcrowd");
 
   core::DynamothLoadBalancer::Config lb_config;
-  lb_config.t_wait = config.t_wait;
+  lb_config.t_wait = FlashCrowdConfig::kTWait;
   lb_config.base.detect_failures = true;
-  lb_config.base.detector.timeout = config.detector_timeout;
-  lb_config.enable_replication = config.enable_replication;
-  lb_config.all_subs_threshold = config.all_subs_threshold;
-  lb_config.publication_threshold = config.publication_threshold;
-  lb_config.all_pubs_threshold = config.all_pubs_threshold;
-  lb_config.subscriber_threshold = config.subscriber_threshold;
-  lb_config.max_servers = config.max_servers;
+  lb_config.base.detector.timeout = FlashCrowdConfig::kDetectorTimeout;
+  lb_config.all_subs_threshold = FlashCrowdConfig::kAllSubsThreshold;
+  lb_config.publication_threshold = FlashCrowdConfig::kPublicationThreshold;
+  lb_config.all_pubs_threshold = FlashCrowdConfig::kAllPubsThreshold;
+  lb_config.subscriber_threshold = FlashCrowdConfig::kSubscriberThreshold;
+  lb_config.max_servers = FlashCrowdConfig::kMaxServers;
   auto& lb = cluster.use_dynamoth(lb_config);
 
   FlashCrowdResult result;  // declared before clients: handlers record into it
 
   std::vector<Channel> channels;
-  for (std::size_t i = 0; i < config.channels; ++i) {
+  for (std::size_t i = 0; i < FlashCrowdConfig::kChannels; ++i) {
     channels.push_back("fc:" + std::to_string(i));
   }
 
@@ -194,7 +193,7 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
 
   // The arm under test: wildcard listeners covering the whole family.
   std::vector<std::unique_ptr<SubscriberState>> pattern_subs;
-  for (std::size_t i = 0; i < config.pattern_subscribers; ++i) {
+  for (std::size_t i = 0; i < FlashCrowdConfig::kPatternSubscribers; ++i) {
     auto sub = std::make_unique<SubscriberState>();
     sub->client = &cluster.add_client(client_config(false));
     sub->client->psubscribe("fc:*", make_handler(sub.get()));
@@ -203,7 +202,7 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
 
   // The reference arm: the same coverage, spelled out channel by channel.
   std::vector<std::unique_ptr<SubscriberState>> explicit_subs;
-  for (std::size_t i = 0; i < config.explicit_subscribers; ++i) {
+  for (std::size_t i = 0; i < FlashCrowdConfig::kExplicitSubscribers; ++i) {
     auto sub = std::make_unique<SubscriberState>();
     sub->client = &cluster.add_client(client_config(false));
     for (const Channel& c : channels) sub->client->subscribe(c, make_handler(sub.get()));
@@ -211,7 +210,7 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
   }
 
   std::vector<core::DynamothClient*> publishers;
-  for (std::size_t i = 0; i < config.channels; ++i) {
+  for (std::size_t i = 0; i < FlashCrowdConfig::kChannels; ++i) {
     publishers.push_back(&cluster.add_client(client_config(true)));
   }
 
@@ -235,21 +234,18 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
   // what the substrate alone offered before this PR. Every publication the
   // balancer homes elsewhere is a silent miss.
   std::map<Channel, std::set<std::uint64_t>> raw_seen;
-  std::unique_ptr<ps::RemoteConnection> raw_conn;
-  if (config.raw_psubscribe_arm) {
-    net::NodeConfig infra;
-    infra.kind = net::NodeKind::kInfrastructure;
-    infra.egress_bytes_per_sec = 10e6;
-    const NodeId raw_node = cluster.network().add_node(infra);
-    raw_conn = std::make_unique<ps::RemoteConnection>(
-        sim, cluster.network(), raw_node, cluster.server(cluster.server_ids().front()),
-        [&raw_seen](const ps::EnvelopePtr& env) {
-          if (env->kind != ps::MsgKind::kData) return;
-          raw_seen[env->channel].insert(env->channel_seq);
-        },
-        [](ps::CloseReason) {});
-    raw_conn->psubscribe("fc:*");
-  }
+  net::NodeConfig infra;
+  infra.kind = net::NodeKind::kInfrastructure;
+  infra.egress_bytes_per_sec = 10e6;
+  const NodeId raw_node = cluster.network().add_node(infra);
+  ps::RemoteConnection raw_conn(
+      sim, cluster.network(), raw_node, cluster.server(cluster.server_ids().front()),
+      [&raw_seen](const ps::EnvelopePtr& env) {
+        if (env->kind != ps::MsgKind::kData) return;
+        raw_seen[env->channel].insert(env->channel_seq);
+      },
+      [](ps::CloseReason) {});
+  raw_conn.psubscribe("fc:*");
 
   // ---- metrics ----
   obs::MetricsRegistry& reg = result.metrics;
@@ -270,32 +266,17 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
   auto factor_g = reg.gauge("spike_factor");
 
   // ---- faults ----
-  ClusterFaultAdapter adapter(cluster, /*ring_safe=*/false);
+  ClusterFaultAdapter adapter(cluster);
   fault::FaultInjector injector(sim, adapter, config.faults, rng.fork("inject"));
 
   SimTime traffic_start = 0;
 
   auto refresh_metrics = [&] {
     core::DynamothClient::Stats totals;
-    auto accumulate = [&](const core::DynamothClient::Stats& s) {
-      totals.published += s.published;
-      totals.received += s.received;
-      totals.duplicates_suppressed += s.duplicates_suppressed;
-      totals.wrong_server_replies += s.wrong_server_replies;
-      totals.switches_followed += s.switches_followed;
-      totals.connection_drops += s.connection_drops;
-      totals.fallback_resubscribes += s.fallback_resubscribes;
-      totals.refused_publishes += s.refused_publishes;
-      totals.pending_flushed += s.pending_flushed;
-      totals.publishes_dropped += s.publishes_dropped;
-      totals.republishes += s.republishes;
-      totals.pattern_deliveries += s.pattern_deliveries;
-      totals.patterns_expanded += s.patterns_expanded;
-    };
-    for (const auto& sub : pattern_subs) accumulate(sub->client->stats());
-    for (const auto& sub : explicit_subs) accumulate(sub->client->stats());
-    for (const auto& sub : crowd_subs) accumulate(sub->client->stats());
-    for (const auto* pub : publishers) accumulate(pub->stats());
+    for (const auto& sub : pattern_subs) totals += sub->client->stats();
+    for (const auto& sub : explicit_subs) totals += sub->client->stats();
+    for (const auto& sub : crowd_subs) totals += sub->client->stats();
+    for (const auto* pub : publishers) totals += pub->stats();
 
     published_c.set(totals.published);
     pattern_c.set(delivered_unique(pattern_subs));
@@ -316,7 +297,7 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
     servers_g.set(static_cast<double>(active));
     result.peak_servers = std::max(result.peak_servers, active);
     double factor = 1.0;
-    for (std::size_t i = 0; i < config.channels; ++i) {
+    for (std::size_t i = 0; i < FlashCrowdConfig::kChannels; ++i) {
       factor = std::max(factor, config.spikes.factor_at(i, sim.now() - traffic_start));
     }
     factor_g.set(factor);
@@ -324,18 +305,18 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
   };
 
   // ---- run ----
-  sim.run_for(config.settle);
+  sim.run_for(FlashCrowdConfig::kSettle);
   traffic_start = sim.now();
 
   std::vector<std::unique_ptr<PublishLoop>> traffic;
-  for (std::size_t i = 0; i < config.channels; ++i) {
+  for (std::size_t i = 0; i < FlashCrowdConfig::kChannels; ++i) {
     auto loop = std::make_unique<PublishLoop>();
     loop->sim = &sim;
     loop->client = publishers[i];
     loop->channel = channels[i];
     loop->index = i;
-    loop->bytes = config.payload_bytes;
-    loop->base_interval = config.base_publish_interval;
+    loop->bytes = FlashCrowdConfig::kPayloadBytes;
+    loop->base_interval = FlashCrowdConfig::kBasePublishInterval;
     loop->traffic_start = traffic_start;
     loop->spikes = &config.spikes;
     traffic.push_back(std::move(loop));
@@ -400,16 +381,14 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
     }
   }
 
-  sim::PeriodicTask windower(sim, config.window, [&] {
+  sim::PeriodicTask windower(sim, FlashCrowdConfig::kWindow, [&] {
     refresh_metrics();
     reg.end_window(sim.now());
   });
   windower.start();
 
-  const SimTime fault_delay = std::min(config.fault_delay, config.duration);
-  if (fault_delay > 0) sim.run_for(fault_delay);
   injector.arm();
-  sim.run_for(config.duration - fault_delay);
+  sim.run_for(config.duration);
   for (auto& loop : traffic) loop->running = false;
   sim.run_for(config.drain);
   windower.stop();
@@ -459,11 +438,9 @@ FlashCrowdResult run_flashcrowd(const FlashCrowdConfig& config) {
     }
   }
 
-  if (config.raw_psubscribe_arm) {
-    for (const auto& [_, seqs] : raw_seen) result.raw_received += seqs.size();
-    result.raw_missed = result.published - result.raw_received;
-    raw_conn->close();
-  }
+  for (const auto& [_, seqs] : raw_seen) result.raw_received += seqs.size();
+  result.raw_missed = result.published - result.raw_received;
+  raw_conn.close();
 
   result.lb_stats = lb.stats();
   std::ostringstream audit;

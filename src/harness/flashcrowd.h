@@ -74,47 +74,45 @@ struct FlashCrowdSchedule {
 };
 
 struct FlashCrowdConfig {
-  std::uint64_t seed = 1;
-  std::size_t servers = 4;         // initial fleet; the spike may grow it
-  std::size_t max_servers = 6;
-  std::size_t channels = 8;        // "fc:0" ... "fc:<n-1>", one publisher each
+  static constexpr std::size_t kServers = 4;  // initial fleet; the spike may grow it
+  static constexpr std::size_t kMaxServers = 6;
+  /// "fc:0" ... "fc:<n-1>", one publisher each.
+  static constexpr std::size_t kChannels = 8;
   /// Wildcard clients; each psubscribes "fc:*" and must match the explicit
   /// arm message-for-message.
-  std::size_t pattern_subscribers = 2;
+  static constexpr std::size_t kPatternSubscribers = 2;
   /// Plain clients; each subscribes to every channel explicitly (the
   /// reference arm for the equivalence check).
-  std::size_t explicit_subscribers = 2;
-  /// Run the pre-fix arm too: one raw substrate PSUBSCRIBE pinned to the
-  /// first server, counting the publications it silently misses.
-  bool raw_psubscribe_arm = true;
+  static constexpr std::size_t kExplicitSubscribers = 2;
 
-  SimTime base_publish_interval = millis(100);  // per channel, off-spike
-  std::size_t payload_bytes = 200;
+  static constexpr SimTime kBasePublishInterval = millis(100);  // per channel, off-spike
+  static constexpr std::size_t kPayloadBytes = 200;
+  static constexpr SimTime kSettle = seconds(2);  // subscriptions placed before traffic
+  static constexpr SimTime kWindow = seconds(1);  // metrics window
 
-  SimTime settle = seconds(2);     // subscriptions placed before traffic
-  SimTime duration = seconds(60);  // traffic (spikes are relative to its start)
-  SimTime drain = seconds(20);     // quiesce after traffic stops
-  SimTime window = seconds(1);     // metrics window
-
-  FlashCrowdSchedule spikes;
-  /// Optional faults layered on top (crash-during-spike arms). Armed
-  /// `fault_delay` after traffic starts, like the failover harness.
-  fault::FaultSchedule faults;
-  SimTime fault_delay = 0;
-
-  SimTime t_wait = seconds(5);     // short rounds: spikes outpace 15s
-  SimTime detector_timeout = seconds(4);
-  bool enable_replication = true;  // the spike is built to trip Algorithm 1
+  static constexpr SimTime kTWait = seconds(5);  // short rounds: spikes outpace 15s
+  static constexpr SimTime kDetectorTimeout = seconds(4);
   /// Algorithm 1 thresholds, scaled down to this harness's client counts
   /// (the paper's defaults assume thousands of real subscribers). With one
   /// publisher per channel and a handful of subscribers, a ~50x spike takes
   /// the hot channel to ~500 pubs/s against ~10 listeners — past these,
   /// while staying under the NIC line rate (a saturating spike would turn
   /// the equivalence check into a measurement of best-effort drop luck).
-  double all_subs_threshold = 30;     // publications per subscriber /s
-  double publication_threshold = 150; // min publications/s
-  double all_pubs_threshold = 90;     // subscribers per publication /s
-  double subscriber_threshold = 250;  // min subscribers
+  /// Replication stays on (the balancer's default): the spike is built to
+  /// trip Algorithm 1.
+  static constexpr double kAllSubsThreshold = 30;       // publications per subscriber /s
+  static constexpr double kPublicationThreshold = 150;  // min publications/s
+  static constexpr double kAllPubsThreshold = 90;       // subscribers per publication /s
+  static constexpr double kSubscriberThreshold = 250;   // min subscribers
+
+  std::uint64_t seed = 1;
+  SimTime duration = seconds(60);  // traffic (spikes are relative to its start)
+  SimTime drain = seconds(20);     // quiesce after traffic stops
+
+  FlashCrowdSchedule spikes;
+  /// Optional faults layered on top (crash-during-spike arms), armed when
+  /// traffic starts.
+  fault::FaultSchedule faults;
 
   ClusterConfig cluster;  // seed/initial_servers overwritten
 };
@@ -140,7 +138,7 @@ struct FlashCrowdResult {
   std::uint64_t pattern_missing = 0;
 
   /// Raw substrate arm: publications it saw vs. silently missed (the
-  /// pre-fix single-server PSUBSCRIBE behaviour). Zero when disabled.
+  /// pre-fix single-server PSUBSCRIBE behaviour).
   std::uint64_t raw_received = 0;
   std::uint64_t raw_missed = 0;
 

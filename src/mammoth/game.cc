@@ -7,6 +7,13 @@
 
 namespace dynamoth::mammoth {
 
+namespace {
+/// Per-member tile-crossing rate of cohort mode. Individual random-waypoint
+/// players at the default speed/world scale cross tiles roughly this often.
+constexpr double kCrossingsPerMemberPerSec = 0.15;
+constexpr SimTime kMigrationInterval = seconds(1);
+}  // namespace
+
 std::vector<double> stationary_tile_weights(const GameConfig& config) {
   const World world(config.world_size, config.tiles_per_side);
   const int tiles = world.tile_count();
@@ -31,7 +38,7 @@ Game::Game(harness::Cluster& cluster, GameConfig config, harness::ResponseProbe*
       world_(config.world_size, config.tiles_per_side),
       probe_(probe),
       migration_rng_(cluster.fork_rng("cohort-migration")),
-      migration_(cluster.sim(), config.cohort.migration_interval, [this] { migrate(); }) {
+      migration_(cluster.sim(), kMigrationInterval, [this] { migrate(); }) {
   if (!config_.cohort.enabled) return;
   // Stationary density profile: uniform mass blended with hotspot mass at
   // the player AI's hotspot bias — the same skew individual random-waypoint
@@ -140,8 +147,8 @@ void Game::set_population_cohort(std::size_t n) {
 void Game::migrate() {
   if (active_ == 0) return;
   const int side = world_.tiles_per_side();
-  const double dt = to_seconds(config_.cohort.migration_interval);
-  const double rate = config_.cohort.crossings_per_member_per_sec;
+  const double dt = to_seconds(kMigrationInterval);
+  const double rate = kCrossingsPerMemberPerSec;
   // Pass 1: compute every tile's outflow from its pre-step population (with
   // per-tile fractional credit, so low-population tiles still churn at the
   // exact long-run rate), then apply all deltas. O(tiles) per step no matter

@@ -31,10 +31,6 @@ namespace dynamoth::mammoth {
 /// enabled the Game spawns no Player objects at all.
 struct CohortModeConfig {
   bool enabled = false;
-  /// Per-member tile-crossing rate. Individual random-waypoint players at
-  /// the default speed/world scale cross tiles roughly this often.
-  double crossings_per_member_per_sec = 0.15;
-  SimTime migration_interval = seconds(1);
 };
 
 /// Tile-grid partition for block-parallel simulation (DESIGN.md section 15):

@@ -5,6 +5,10 @@
 
 namespace dynamoth::mammoth {
 
+namespace {
+constexpr double kHotspotSpread = 60.0;  // gaussian scatter around the POI
+}  // namespace
+
 Player::Player(sim::Simulator& sim, const World& world, core::DynamothClient& client,
                PlayerConfig config, Rng rng, RttSink rtt_sink)
     : sim_(sim),
@@ -24,8 +28,8 @@ Position Player::pick_waypoint() {
     const Position poi =
         hotspots[static_cast<std::size_t>(rng_.uniform_int(
             0, static_cast<std::int64_t>(hotspots.size()) - 1))];
-    return world_.clamp(Position{poi.x + rng_.normal(0, config_.hotspot_spread),
-                                 poi.y + rng_.normal(0, config_.hotspot_spread)});
+    return world_.clamp(Position{poi.x + rng_.normal(0, kHotspotSpread),
+                                 poi.y + rng_.normal(0, kHotspotSpread)});
   }
   return world_.clamp(
       Position{rng_.uniform(0, world_.size()), rng_.uniform(0, world_.size())});

@@ -31,7 +31,6 @@ struct PlayerConfig {
   /// concentrate players on a few tiles — the per-channel load skew that
   /// separates load-aware balancing from consistent hashing.
   double hotspot_bias = 0.0;
-  double hotspot_spread = 60.0;  // gaussian scatter around the POI
 };
 
 class Player {

@@ -19,6 +19,13 @@ namespace {
 constexpr std::uint32_t kMigration = 1;
 constexpr std::uint32_t kRelayPub = 2;
 
+/// One-way inter-region gateway propagation delay; doubles as the engine
+/// lookahead, so it bounds the epoch length.
+constexpr SimTime kInterRegionDelay = millis(20);
+static_assert(kInterRegionDelay > 0, "the sharded engine needs a positive lookahead");
+/// Gateway uplink line rate (B/s) per region.
+constexpr double kGatewayEgress = 1e9;
+
 /// Serialized member-handoff record on the gateway wire (position, entity
 /// state, session token — the control payload of a region transfer).
 constexpr std::size_t kMigrationMsgBytes = 256;
@@ -45,7 +52,7 @@ class GameShard : public sim::Shard {
         tile_owner_(std::move(tile_owner)) {
     if (engine_->shard_count() <= 1) return;  // classic mode: no gateway at all
     gateway_ = run_.cluster().network().add_node(
-        {net::NodeKind::kInfrastructure, options_.gateway_egress});
+        {net::NodeKind::kInfrastructure, kGatewayEgress});
     run_.game().set_migration_sink(
         [this](std::size_t tile, std::uint32_t count) { emigrate(tile, count); });
     if (options_.boundary_aoi) {
@@ -90,7 +97,7 @@ class GameShard : public sim::Shard {
     const SimTime depart =
         run_.cluster().network().occupy_egress(gateway_, kMigrationMsgBytes, count);
     engine_->post(region_, (*tile_owner_)[tile],
-                  {depart + options_.inter_region_delay, kMigration,
+                  {depart + kInterRegionDelay, kMigration,
                    static_cast<std::uint32_t>(tile), count, 0, 0.0});
   }
 
@@ -130,7 +137,7 @@ class GameShard : public sim::Shard {
       if (pubs == 0) continue;
       const SimTime now = run_.sim().now();
       const SimTime depart = run_.cluster().network().occupy_egress(gateway_, payload, pubs);
-      const SimTime at = depart + options_.inter_region_delay;
+      const SimTime at = depart + kInterRegionDelay;
       engine_->post(region_, (*tile_owner_)[e.to],
                     {at, kRelayPub, static_cast<std::uint32_t>(e.to), pubs,
                      static_cast<std::uint64_t>(payload), static_cast<double>(at - now)});
@@ -212,9 +219,8 @@ GameExperimentResult merge_results(std::vector<GameExperimentResult>& parts,
 
 }  // namespace
 
-std::vector<std::uint32_t> BandShardAssigner::assign(const std::vector<double>& tile_weights,
-                                                     int /*tiles_per_side*/,
-                                                     std::size_t regions) const {
+std::vector<std::uint32_t> band_shard_assignment(const std::vector<double>& tile_weights,
+                                                 std::size_t regions) {
   const std::size_t tiles = tile_weights.size();
   DYN_CHECK(regions >= 1 && regions <= tiles);
   std::vector<std::uint32_t> owner(tiles, 0);
@@ -242,19 +248,15 @@ ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config
                                               const ShardOptions& options) {
   DYN_CHECK(options.shards >= 1);
   DYN_CHECK(options.shards == 1 || config.game.cohort.enabled);
-  DYN_CHECK(options.shards == 1 || options.inter_region_delay > 0);
 
-  const BandShardAssigner default_assigner;
-  const ShardAssigner& assigner =
-      options.assigner != nullptr ? *options.assigner : default_assigner;
   auto tile_owner = std::make_shared<const std::vector<std::uint32_t>>(
-      options.shards > 1 ? assigner.assign(stationary_tile_weights(config.game),
-                                           config.game.tiles_per_side, options.shards)
-                         : std::vector<std::uint32_t>{});
+      options.shards > 1
+          ? band_shard_assignment(stationary_tile_weights(config.game), options.shards)
+          : std::vector<std::uint32_t>{});
 
   sim::ShardedEngineConfig engine_config;
   engine_config.shards = options.shards;
-  engine_config.lookahead = options.inter_region_delay;
+  engine_config.lookahead = kInterRegionDelay;
   sim::ShardedEngine engine(engine_config);
 
   engine.build([&](std::size_t region) -> std::unique_ptr<sim::Shard> {
@@ -266,12 +268,9 @@ ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config
       shard_config.game.region.region = static_cast<std::uint32_t>(region);
       shard_config.game.region.regions = static_cast<std::uint32_t>(options.shards);
       shard_config.game.region.tile_owner = *tile_owner;
-      if (options.split_fleet) {
-        shard_config.dynamoth.max_servers =
-            fleet_share(config.dynamoth.max_servers, region, options.shards);
-        shard_config.hash.max_servers =
-            fleet_share(config.hash.max_servers, region, options.shards);
-      }
+      shard_config.dynamoth.max_servers =
+          fleet_share(config.dynamoth.max_servers, region, options.shards);
+      shard_config.hash.max_servers = fleet_share(config.hash.max_servers, region, options.shards);
     }
     return std::make_unique<GameShard>(shard_config, &engine, region, options, tile_owner);
   });

@@ -26,43 +26,20 @@
 
 namespace dynamoth::mammoth::exp {
 
-/// Pluggable tile -> region map for the block-parallel partitioner.
-class ShardAssigner {
- public:
-  virtual ~ShardAssigner() = default;
-  /// Returns tile_count entries in [0, regions); every region must own at
-  /// least one tile.
-  [[nodiscard]] virtual std::vector<std::uint32_t> assign(
-      const std::vector<double>& tile_weights, int tiles_per_side,
-      std::size_t regions) const = 0;
-};
-
-/// Default assigner: contiguous row-major bands cut so cumulative stationary
-/// weight is balanced across regions — each shard gets an equal share of the
-/// population (and with it, of the event load).
-class BandShardAssigner : public ShardAssigner {
- public:
-  [[nodiscard]] std::vector<std::uint32_t> assign(const std::vector<double>& tile_weights,
-                                                  int tiles_per_side,
-                                                  std::size_t regions) const override;
-};
+/// Tile -> region map for the block-parallel partitioner: contiguous
+/// row-major bands cut so cumulative stationary weight is balanced across
+/// regions — each shard gets an equal share of the population (and with it,
+/// of the event load). Returns tile_weights.size() entries in [0, regions);
+/// every region owns at least one tile.
+[[nodiscard]] std::vector<std::uint32_t> band_shard_assignment(
+    const std::vector<double>& tile_weights, std::size_t regions);
 
 struct ShardOptions {
   /// Region / shard / worker-thread count. 1 = classic single-threaded run.
   std::size_t shards = 1;
-  /// One-way inter-region gateway propagation delay; doubles as the engine
-  /// lookahead, so it bounds the epoch length. Must be > 0 for shards > 1.
-  SimTime inter_region_delay = millis(20);
-  /// Gateway uplink line rate (B/s) per region.
-  double gateway_egress = 1e9;
   /// Arm the boundary-AoI relay. Off by default so --shards scaling sweeps
   /// measure pure engine speedup on an unchanged workload.
   bool boundary_aoi = false;
-  /// Divide the balancer's max_servers fleet across regions (sums to the
-  /// unsharded fleet). Off: every region gets the full cap.
-  bool split_fleet = true;
-  /// Optional custom partitioner; default is BandShardAssigner.
-  const ShardAssigner* assigner = nullptr;
 };
 
 struct ShardedGameResult {
@@ -79,6 +56,8 @@ struct ShardedGameResult {
 
 /// Runs config under `options.shards` block-parallel regions. Cohort mode
 /// required for shards > 1 (region filtering is an apportionment property).
+/// Each region gets its share of the balancers' max_servers fleet: the shares
+/// sum to the unsharded fleet, and no region gets fewer than one server.
 /// Deterministic for a fixed (config.seed, options.shards).
 [[nodiscard]] ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config,
                                                             const ShardOptions& options);

@@ -55,7 +55,7 @@ void RemoteConnection::send_command(std::size_t bytes, net::Network::DeliverFn a
 void RemoteConnection::bounce_reset(const std::shared_ptr<Ctx>& ctx, PubSubServer* srv) {
   RemoteConnection* self = ctx->self;
   if (self == nullptr || !self->open_) return;
-  self->network_.send(srv->node(), self->client_node_, srv->config().msg_overhead_bytes,
+  self->network_.send(srv->node(), self->client_node_, kMsgOverheadBytes,
                       [ctx] {
                         RemoteConnection* s = ctx->self;
                         if (s != nullptr && s->open_) {
@@ -66,7 +66,7 @@ void RemoteConnection::bounce_reset(const std::shared_ptr<Ctx>& ctx, PubSubServe
 }
 
 void RemoteConnection::subscribe(const Channel& channel) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + channel.size();
+  const std::size_t bytes = kMsgOverheadBytes + channel.size();
   send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, channel] {
     if (!srv->running()) return;  // dead host: the command just vanishes
     if (srv->connection_alive(conn)) {
@@ -78,7 +78,7 @@ void RemoteConnection::subscribe(const Channel& channel) {
 }
 
 void RemoteConnection::unsubscribe(const Channel& channel) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + channel.size();
+  const std::size_t bytes = kMsgOverheadBytes + channel.size();
   send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, channel] {
     if (!srv->running()) return;
     if (srv->connection_alive(conn)) {
@@ -90,7 +90,7 @@ void RemoteConnection::unsubscribe(const Channel& channel) {
 }
 
 void RemoteConnection::psubscribe(const std::string& pattern) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + pattern.size();
+  const std::size_t bytes = kMsgOverheadBytes + pattern.size();
   send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, pattern] {
     if (!srv->running()) return;
     if (srv->connection_alive(conn)) {
@@ -102,7 +102,7 @@ void RemoteConnection::psubscribe(const std::string& pattern) {
 }
 
 void RemoteConnection::punsubscribe(const std::string& pattern) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + pattern.size();
+  const std::size_t bytes = kMsgOverheadBytes + pattern.size();
   send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, pattern] {
     if (!srv->running()) return;
     if (srv->connection_alive(conn)) {
@@ -114,7 +114,7 @@ void RemoteConnection::punsubscribe(const std::string& pattern) {
 }
 
 void RemoteConnection::update_weight(std::uint32_t weight) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + sizeof(weight);
+  const std::size_t bytes = kMsgOverheadBytes + sizeof(weight);
   send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, weight] {
     if (!srv->running()) return;
     if (srv->connection_alive(conn)) {
@@ -127,7 +127,7 @@ void RemoteConnection::update_weight(std::uint32_t weight) {
 
 void RemoteConnection::publish(EnvelopePtr env) {
   DYN_CHECK(env != nullptr);
-  const std::size_t bytes = wire_size(*env, server_.config().msg_overhead_bytes);
+  const std::size_t bytes = wire_size(*env, kMsgOverheadBytes);
   // 40 capture bytes (guard + server + conn + envelope ref): inline in the
   // network callback — the steady-state publish command allocates nothing.
   send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, env = std::move(env)] {

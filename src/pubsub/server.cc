@@ -277,7 +277,7 @@ void PubSubServer::handle_publish(ConnId conn, EnvelopePtr env) {
 
   // The wire size is a per-publication fact; compute it once, not per
   // recipient.
-  const std::size_t bytes = wire_size(*env, config_.msg_overhead_bytes);
+  const std::size_t bytes = wire_size(*env, kMsgOverheadBytes);
 
   // One batch per publication: the egress node is pinned once, and each
   // consecutive run of recipients on the same destination node reuses the
@@ -381,7 +381,7 @@ void PubSubServer::close_internal(ConnId conn, CloseReason reason) {
     // Notify the remote end (after transport) that it was dropped. A crashed
     // process sends nothing — its remote ends discover the death themselves.
     ClosedFn closed = c.closed;
-    network_.send(node_, c.client_node, config_.msg_overhead_bytes,
+    network_.send(node_, c.client_node, kMsgOverheadBytes,
                   [closed, reason] { closed(reason); });
   }
   release_connection(c);

@@ -98,6 +98,9 @@ class LocalObserver {
                              const std::vector<std::string>& patterns, CloseReason reason) = 0;
 };
 
+/// Wire framing per pub/sub message (publish, delivery, command, reply).
+inline constexpr std::size_t kMsgOverheadBytes = 64;
+
 class PubSubServer {
  public:
   struct Config {
@@ -121,8 +124,6 @@ class PubSubServer {
     /// the shared egress queue short so control traffic (wrong-server
     /// replies, switches) still flows during overload.
     SimTime max_egress_backlog = millis(800);
-
-    std::size_t msg_overhead_bytes = 64;  // wire framing per message
   };
 
   PubSubServer(sim::Simulator& sim, net::Network& network, NodeId node, Config config);

@@ -6,6 +6,23 @@
 
 namespace dynamoth::rel {
 
+namespace {
+/// How long a gap may stand before replay is requested (absorbs
+/// reconfiguration-time reordering).
+constexpr SimTime kReorderGrace = millis(500);
+}  // namespace
+
+ReliableSubscriber::Stats& ReliableSubscriber::Stats::operator+=(const Stats& other) {
+  static_assert(sizeof(Stats) == 5 * sizeof(std::uint64_t),
+                "add the new counter to the sum below");
+  delivered += other.delivered;
+  gaps_detected += other.gaps_detected;
+  replays_requested += other.replays_requested;
+  recovered += other.recovered;
+  gave_up += other.gave_up;
+  return *this;
+}
+
 ReliableSubscriber::ReliableSubscriber(sim::Simulator& sim, core::DynamothClient& client,
                                        Config config)
     : sim_(sim), client_(client), config_(config), alive_(std::make_shared<bool>(true)) {
@@ -54,7 +71,7 @@ void ReliableSubscriber::on_message(ChannelId cid, const ps::EnvelopePtr& env) {
     for (std::uint64_t seq = last + 1; seq < env->channel_seq; ++seq) missing.insert(seq);
     std::weak_ptr<bool> alive = alive_;
     const ClientId publisher = env->publisher;
-    sim_.schedule_after(config_.reorder_grace, [this, alive, cid, publisher] {
+    sim_.schedule_after(kReorderGrace, [this, alive, cid, publisher] {
       if (auto a = alive.lock(); a && *a) check_gap(cid, publisher);
     });
   }

@@ -28,9 +28,6 @@ namespace dynamoth::rel {
 class ReliableSubscriber {
  public:
   struct Config {
-    /// How long a gap may stand before replay is requested (absorbs
-    /// reconfiguration-time reordering).
-    SimTime reorder_grace = millis(500);
     /// Re-request cadence for gaps that stay open (lost requests/batches).
     /// A retry fires only when a check interval passes with NO progress —
     /// paced replay that is still streaming in is left alone.
@@ -44,6 +41,9 @@ class ReliableSubscriber {
     std::uint64_t replays_requested = 0; // request messages published
     std::uint64_t recovered = 0;         // gap messages filled by replay
     std::uint64_t gave_up = 0;           // gaps abandoned after max_retries
+
+    /// Adds every counter of `other` (fleet-wide totals).
+    Stats& operator+=(const Stats& other);
   };
 
   ReliableSubscriber(sim::Simulator& sim, core::DynamothClient& client, Config config);

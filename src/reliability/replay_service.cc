@@ -6,6 +6,10 @@
 
 namespace dynamoth::rel {
 
+namespace {
+constexpr std::size_t kMaxBatch = 256;  // most messages replayed per request
+}  // namespace
+
 ReplayService::ReplayService(sim::Simulator& sim, core::DynamothClient& client, Config config)
     : sim_(sim),
       client_(client),
@@ -44,7 +48,7 @@ void ReplayService::on_request(const ps::EnvelopePtr& env) {
 
   std::vector<ps::EnvelopePtr> found =
       store_.lookup(request->channel, request->publisher, request->from_seq, request->to_seq);
-  if (found.size() > config_.max_batch) found.resize(config_.max_batch);
+  if (found.size() > kMaxBatch) found.resize(kMaxBatch);
 
   const auto span = request->to_seq - request->from_seq + 1;
   stats_.unavailable += span > found.size() ? span - found.size() : 0;

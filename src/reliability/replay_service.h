@@ -26,7 +26,6 @@ class ReplayService {
  public:
   struct Config {
     std::size_t history_per_channel = 4096;
-    std::size_t max_batch = 256;        // most messages replayed per request
     /// Replay is paced: recovered messages are sent in chunks of at most
     /// `chunk_bytes`, one chunk every `chunk_interval`, so the replay burst
     /// itself cannot overflow the recovering subscriber's output buffer.

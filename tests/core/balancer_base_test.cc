@@ -87,6 +87,21 @@ TEST(BalancerBase, LoadRatioSmoothsOverWindow) {
   EXPECT_NEAR(f.balancer->load_ratio(s), 1.0, 1e-9);
 }
 
+TEST(BalancerBase, SilentServerReportsArePurged) {
+  Fixture f;  // detect_failures off: only the purge can clear the reports
+  f.balancer->start();
+  const ServerId s = f.cluster->server_ids()[0];
+  f.cluster->lla(s).stop();  // the server goes silent
+  f.balancer->ingest_report(f.report(s, 1.5));  // window_end = 0
+  // The tick at t = kReportMaxAge keeps a report exactly that old.
+  f.cluster->sim().run_for(BalancerBase::kReportMaxAge + millis(10));
+  EXPECT_NEAR(f.balancer->load_ratio(s), 1.0, 1e-9);
+  // The next tick finds it older than kReportMaxAge and purges it.
+  f.cluster->sim().run_for(seconds(1));
+  EXPECT_EQ(f.balancer->load_ratio(s), 0.0);
+  EXPECT_EQ(f.balancer->active_server_count(), 2u);  // still attached
+}
+
 TEST(BalancerBase, ReportsForUnknownServersIgnored) {
   Fixture f;
   f.balancer->start();

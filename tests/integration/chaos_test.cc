@@ -36,6 +36,9 @@ TEST(Chaos, PartitionThenHealNoDuplicatesNoLoss) {
   ASSERT_GT(r.published, 0u);
   EXPECT_EQ(r.lost, 0u);
   EXPECT_EQ(r.duplicates, 0u);
+  // client_totals sums every counter over every client.
+  EXPECT_EQ(r.client_totals.published, r.published);
+  EXPECT_GT(r.client_totals.received, 0u);
 
   // The detector noticed the silence and the healed server rejoined.
   bool suspected = false;

@@ -139,10 +139,8 @@ TEST(ShardedGameExperiment, BoundaryAoiRelayAddsRemoteDeliveries) {
 TEST(BandShardAssigner, CoversEveryRegionAndBalancesWeight) {
   GameExperimentConfig config = cohort_config();
   const std::vector<double> weights = stationary_tile_weights(config.game);
-  const BandShardAssigner assigner;
   for (const std::size_t regions : {2u, 3u, 4u}) {
-    const std::vector<std::uint32_t> owner =
-        assigner.assign(weights, config.game.tiles_per_side, regions);
+    const std::vector<std::uint32_t> owner = band_shard_assignment(weights, regions);
     ASSERT_EQ(owner.size(), weights.size());
     std::vector<double> mass(regions, 0.0);
     for (std::size_t t = 0; t < owner.size(); ++t) {

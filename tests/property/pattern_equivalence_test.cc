@@ -225,7 +225,8 @@ TEST(PatternEquivalence, FlashCrowdHarnessHoldsAtRandomSeeds) {
     params.spikes = 2;
     params.min_factor = 20.0;
     params.max_factor = 50.0;  // stays under the NIC line rate (see header)
-    config.spikes = harness::FlashCrowdSchedule::random(seed, params, config.channels);
+    config.spikes =
+        harness::FlashCrowdSchedule::random(seed, params, harness::FlashCrowdConfig::kChannels);
     const harness::FlashCrowdResult r = harness::run_flashcrowd(config);
 
     EXPECT_EQ(r.pattern_missing, 0u);
