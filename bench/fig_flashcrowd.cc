@@ -15,8 +15,10 @@
 //   fig_flashcrowd_audit.txt       rebalance audit timelines
 //
 // Exit status is non-zero when a wildcard listener missed a publication
-// every explicit subscriber received (the cross-server miss this PR fixes),
-// or when pattern expansion never happened at all.
+// every explicit subscriber received (the cross-server miss plan-aware
+// pattern expansion prevents), when a handler on either arm saw the same
+// message twice (delivery is exactly-once), or when pattern expansion never
+// happened at all.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -88,7 +90,8 @@ int main(int argc, char** argv) {
 
     r.metrics.save_windows_csv("fig_flashcrowd_" + scenario.name + ".csv");
 
-    const bool pass = r.pattern_missing == 0 && r.patterns_expanded > 0;
+    const bool pass = r.pattern_missing == 0 && r.pattern_duplicates == 0 &&
+                      r.explicit_duplicates == 0 && r.patterns_expanded > 0;
     all_pass = all_pass && pass;
 
     summary << scenario.name << ',' << r.published << ',' << r.pattern_delivered_unique

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/channel_table.h"
-#include "common/lru_set.h"
 #include "harness/cluster.h"
 #include "common/rng.h"
+#include "common/seen_ids.h"
 #include "core/consistent_hash.h"
 #include "core/plan.h"
 #include "latency/latency_model.h"
@@ -138,14 +138,22 @@ void BM_PlanCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCopy)->Arg(64)->Arg(512)->Arg(4096);
 
-void BM_DedupLruInsert(benchmark::State& state) {
-  LruSet<MessageId> dedup(8192);
-  std::uint64_t seq = 0;
+/// Client-side dedup of fresh in-order ids, round-robin over Arg origins:
+/// one publisher, or 700 interleaved ones (fig7's per-client origin count).
+void BM_DedupInsert(benchmark::State& state) {
+  const auto origins = static_cast<std::uint64_t>(state.range(0));
+  SeenIds dedup;
+  std::uint64_t origin = 0;
+  std::uint64_t seq = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dedup.insert(MessageId{7, seq++}));
+    benchmark::DoNotOptimize(dedup.insert(MessageId{origin, seq}));
+    if (++origin == origins) {
+      origin = 0;
+      ++seq;
+    }
   }
 }
-BENCHMARK(BM_DedupLruInsert);
+BENCHMARK(BM_DedupInsert)->Arg(1)->Arg(700);
 
 void BM_HistogramRecord(benchmark::State& state) {
   metrics::Histogram histogram;

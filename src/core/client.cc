@@ -9,19 +9,18 @@
 namespace dynamoth::core {
 
 namespace {
-/// Message ids remembered for duplicate suppression.
-constexpr std::size_t kDedupCapacity = 8192;
 /// Payload of a publish() that names no size.
 constexpr std::size_t kDefaultPayloadBytes = 128;
 }  // namespace
 
 DynamothClient::Stats& DynamothClient::Stats::operator+=(const Stats& other) {
-  static_assert(sizeof(Stats) == 16 * sizeof(std::uint64_t),
+  static_assert(sizeof(Stats) == 17 * sizeof(std::uint64_t),
                 "add the new counter to the sum below");
   published += other.published;
   messages_sent += other.messages_sent;
   received += other.received;
   duplicates_suppressed += other.duplicates_suppressed;
+  dedup_gaps_closed += other.dedup_gaps_closed;
   stale_drops += other.stale_drops;
   wrong_server_replies += other.wrong_server_replies;
   switches_followed += other.switches_followed;
@@ -49,7 +48,6 @@ DynamothClient::DynamothClient(sim::Simulator& sim, net::Network& network,
       id_(id),
       config_(config),
       rng_(rng),
-      dedup_(kDedupCapacity),
       ctl_channel_(client_control_channel(id)),
       sweeper_(sim, config.sweep_interval, [this] { sweep(); }),
       alive_(std::make_shared<bool>(true)) {
@@ -513,7 +511,9 @@ void DynamothClient::on_deliver(ServerId /*from*/, const ps::EnvelopePtr& env) {
     }
     case ps::MsgKind::kControl:  // application-level protocol messages
     case ps::MsgKind::kData: {
-      if (!dedup_.insert(env->id)) {
+      const bool fresh = dedup_.insert(env->id);
+      stats_.dedup_gaps_closed = dedup_.gaps_closed();
+      if (!fresh) {
         ++stats_.duplicates_suppressed;
         return;
       }

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "common/channel_table.h"
-#include "common/lru_set.h"
 #include "common/rng.h"
+#include "common/seen_ids.h"
 #include "common/small_function.h"
 #include "common/types.h"
 #include "core/consistent_hash.h"
@@ -82,6 +82,7 @@ class DynamothClient : private ChannelTable::Listener {
                                              // under all-publishers replication)
     std::uint64_t received = 0;              // data messages handed to handlers
     std::uint64_t duplicates_suppressed = 0;
+    std::uint64_t dedup_gaps_closed = 0;     // SeenIds range-cap closures
     std::uint64_t stale_drops = 0;           // data for channels not subscribed
     std::uint64_t wrong_server_replies = 0;
     std::uint64_t switches_followed = 0;
@@ -274,7 +275,7 @@ class DynamothClient : private ChannelTable::Listener {
   /// was never handed to a receiver, so restamping its entry version on
   /// flush is safe.
   std::deque<ps::MutEnvelopeRef> pending_;
-  LruSet<MessageId> dedup_;
+  SeenIds dedup_;
   Channel ctl_channel_;
   std::uint64_t next_seq_ = 1;
   Stats stats_;

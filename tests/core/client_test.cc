@@ -60,12 +60,53 @@ TEST(Client, DedupSuppressesDuplicateIds) {
   // re-publishing with identical content: the client lib assigns fresh ids,
   // so instead simulate a duplicate by double-delivery through replication:
   // subscribe on a 2nd server via an all-subscribers plan would be complex
-  // here; rely on unit-level LruSet tests for mechanics and check counter
-  // exposure instead.
+  // here; rely on the SeenIds unit tests (and the replayed-id test below)
+  // for mechanics and check counter exposure instead.
   pub.publish("c");
   cluster.sim().run_for(seconds(1));
   EXPECT_EQ(got, 1);
   EXPECT_EQ(sub.stats().duplicates_suppressed, 0u);
+}
+
+TEST(Client, DedupRemembersAnIdAfterTenThousandOthers) {
+  // A raw connection replays message id {99, 1} after 10 000 newer ids from
+  // the same publisher. An id filter that only remembers the last 8192 ids
+  // would hand the replay to the handler a second time.
+  harness::Cluster cluster(fixture_config(1));
+  auto& sub = cluster.add_client();
+  std::uint64_t got = 0;
+  std::uint64_t got_first = 0;
+  sub.subscribe("c", [&](const ps::EnvelopePtr& env) {
+    ++got;
+    if (env->id.seq == 1) ++got_first;
+  });
+  cluster.sim().run_for(seconds(1));
+
+  const NodeId node = cluster.network().add_node({net::NodeKind::kClient, 1e9});
+  ps::RemoteConnection raw(cluster.sim(), cluster.network(), node,
+                           cluster.server(cluster.server_ids().front()), nullptr, nullptr);
+  auto send = [&](std::uint64_t seq) {
+    auto env = ps::make_envelope();
+    env->id = MessageId{99, seq};
+    env->kind = ps::MsgKind::kData;
+    env->channel = "c";
+    env->payload_bytes = 50;
+    env->publish_time = cluster.sim().now();
+    env->publisher = 99;
+    raw.publish(std::move(env));
+  };
+  constexpr std::uint64_t kOthers = 10'000;
+  for (std::uint64_t seq = 1; seq <= kOthers + 1; ++seq) {
+    send(seq);
+    if (seq % 500 == 0) cluster.sim().run_for(seconds(1));
+  }
+  send(1);
+  cluster.sim().run_for(seconds(2));
+
+  EXPECT_EQ(got_first, 1u);
+  EXPECT_EQ(got, kOthers + 1);
+  EXPECT_EQ(sub.stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(sub.stats().dedup_gaps_closed, 0u);
 }
 
 TEST(Client, EntryExpiresAfterInactivity) {

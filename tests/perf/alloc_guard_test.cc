@@ -21,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "cohort/cohort.h"
-#include "common/lru_set.h"
+#include "common/seen_ids.h"
 #include "common/types.h"
 #include "harness/cluster.h"
 #include "metrics/histogram.h"
@@ -542,19 +542,28 @@ TEST(AllocGuard, BucketedSameArrivalDeliveryIsAllocationFree) {
   EXPECT_EQ(got - delivered_before, 2u * kFan);
 }
 
-TEST(AllocGuard, LruSetDedupInsertsAreAllocationFreeAfterConstruction) {
+TEST(AllocGuard, SeenIdsSteadyStateInsertsAreAllocationFree) {
   // The client-side duplicate filter runs insert() once per received
-  // publication; after construction it must never touch the allocator, even
-  // when full and evicting.
-  LruSet<std::uint64_t> dedup(256);
+  // publication. Once every origin is known, in-order arrivals and
+  // duplicates inside existing ranges must never touch the allocator.
+  constexpr std::uint64_t kOrigins = 700;  // fig7's per-client origin count
+  SeenIds dedup;
+  for (std::uint64_t origin = 0; origin < kOrigins; ++origin) {
+    dedup.insert(MessageId{origin, 1});
+    dedup.insert(MessageId{origin, 5});  // one older range: [1,1] [5,5]
+  }
   const std::uint64_t allocs_before = g_new_calls;
-  for (std::uint64_t i = 0; i < 1024; ++i) {
-    dedup.insert(i);              // fresh inserts, then steady eviction
-    dedup.insert(i);              // refresh path
-    (void)dedup.contains(i / 2);  // lookup path
+  std::uint64_t fresh = 0;
+  for (std::uint64_t seq = 6; seq < 200; ++seq) {
+    for (std::uint64_t origin = 0; origin < kOrigins; ++origin) {
+      fresh += dedup.insert(MessageId{origin, seq}) ? 1 : 0;                // in order
+      fresh += dedup.insert(MessageId{origin, 5 + (seq - 5) / 2}) ? 1 : 0;  // newest range
+      fresh += dedup.insert(MessageId{origin, 1}) ? 1 : 0;                  // older range
+    }
   }
   EXPECT_EQ(g_new_calls - allocs_before, 0u);
-  EXPECT_EQ(dedup.size(), 256u);
+  EXPECT_EQ(fresh, kOrigins * (200 - 6));
+  EXPECT_EQ(dedup.origins(), kOrigins);
 }
 
 }  // namespace

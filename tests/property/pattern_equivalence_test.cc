@@ -234,12 +234,12 @@ TEST(PatternEquivalence, FlashCrowdHarnessHoldsAtRandomSeeds) {
     EXPECT_GT(r.published, 0u);
     EXPECT_GT(r.pattern_delivered_unique, 0u);
     // Overlapping spikes drive enough churn that publishers exercise the
-    // at-least-once republish window; handler-level duplicates are then
-    // legitimate on BOTH arms. The property is that the wildcard arm does
-    // not duplicate more than the explicit reference arm does (same
-    // clients-per-arm, timing-identical under fixed latency) — zero-dup
-    // assertions live in the controlled replication test above.
-    EXPECT_LE(r.pattern_duplicates, r.explicit_duplicates + r.published / 10);
+    // at-least-once republish window, and an outage flushes up to 4096
+    // stashed publishes at once, so copies of one id can arrive more than
+    // 8192 other ids apart. The client's dedup is exact per publisher, so
+    // no copy reaches a handler twice on either arm.
+    EXPECT_EQ(r.pattern_duplicates, 0u);
+    EXPECT_EQ(r.explicit_duplicates, 0u);
   }
 }
 
