@@ -1,5 +1,5 @@
-// Placement-policy shoot-out: both policies in src/placement replay the
-// Figure-5 client ramp, the Figure-7 elasticity cycle, and a server-crash
+// Placement-policy shoot-out: greedy and bounded-load (src/placement) replay
+// the Figure-5 client ramp, the Figure-7 elasticity cycle, and a server-crash
 // schedule, under otherwise identical configuration. The point is a
 // like-for-like comparison of what each placement strategy trades:
 //

@@ -1,11 +1,19 @@
 // simctl: command-line experiment runner.
 //
-// Runs the RGame workload on a Dynamoth (or consistent-hashing) cluster with
-// every knob on the command line, printing the sampled time series and a
-// summary. Handy for exploring configurations beyond the canned benches.
+// Runs the RGame workload on a cluster balanced by Dynamoth, by the paper's
+// consistent-hashing comparator (the Dynamoth balancer with the hashing
+// placement policy and replication off), or by nothing, with every knob on
+// the command line, printing the sampled time series and a summary. Outside
+// fig5_scalability this is the only way to run the comparator. Handy for
+// exploring configurations beyond the canned benches.
 //
 //   $ ./simctl --balancer=dynamoth --players=600 --duration=300 --seed=7
 //   $ ./simctl --balancer=hashing --players=400 --servers=4 --csv=out.csv
+//
+// --players, --servers, --capacity, --duration and --ramp must be positive
+// numbers; anything else prints the usage and exits 1.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,24 +54,46 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// Parses a whole-string positive integer into `out`; false otherwise.
+template <typename T>
+bool parse_positive(const char* v, T& out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n <= 0) return false;
+  out = static_cast<T>(n);
+  return true;
+}
+
+/// Parses a whole-string positive finite number into `out`; false otherwise.
+bool parse_positive(const char* v, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(x) || x <= 0) return false;
+  out = x;
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
       return arg.rfind(prefix, 0) == 0 ? arg.c_str() + std::strlen(prefix) : nullptr;
     };
+    bool ok = true;
     if (const char* v = value("--balancer=")) {
       options.balancer = v;
     } else if (const char* v = value("--players=")) {
-      options.players = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_positive(v, options.players);
     } else if (const char* v = value("--ramp=")) {
-      options.ramp_s = std::atol(v);
+      ok = parse_positive(v, options.ramp_s);
     } else if (const char* v = value("--duration=")) {
-      options.duration_s = std::atol(v);
+      ok = parse_positive(v, options.duration_s);
     } else if (const char* v = value("--servers=")) {
-      options.max_servers = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_positive(v, options.max_servers);
     } else if (const char* v = value("--capacity=")) {
-      options.capacity_mbps = std::atof(v);
+      ok = parse_positive(v, options.capacity_mbps);
     } else if (const char* v = value("--seed=")) {
       options.seed = static_cast<std::uint64_t>(std::atoll(v));
     } else if (const char* v = value("--csv=")) {
@@ -75,6 +105,11 @@ bool parse(int argc, char** argv, Options& options) {
       return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      usage(argv[0]);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "not a positive number: %s\n", arg.c_str());
       usage(argv[0]);
       return false;
     }
@@ -103,7 +138,6 @@ int main(int argc, char** argv) {
   config.cluster.server_capacity = options.capacity_mbps * 1e6;
   config.dynamoth.max_servers = options.max_servers;
   config.dynamoth.cpu_aware = options.cpu_aware;
-  config.hash.max_servers = options.max_servers;
   config.schedule = {{seconds(0), options.players / 10},
                      {seconds(static_cast<double>(options.ramp_s)), options.players}};
   config.duration = seconds(static_cast<double>(options.duration_s));

@@ -1,10 +1,11 @@
 // Shared control-plane machinery for load balancers.
 //
-// Both the Dynamoth load balancer and the consistent-hashing baseline run on
-// one infrastructure node, subscribe to @ctl:lla on every pub/sub server to
-// receive LLA reports, and publish plan updates on @ctl:plan. Subclasses
-// implement decide(), which inspects the aggregated state and may emit a new
-// plan.
+// The load balancer runs on one infrastructure node, subscribes to @ctl:lla
+// on every pub/sub server to receive LLA reports, and publishes plan updates
+// on @ctl:plan. Subclasses implement decide(), which inspects the aggregated
+// state and may emit a new plan. The Dynamoth load balancer is the one
+// production subclass; the consistent-hashing comparator runs inside it as a
+// placement policy.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,7 @@ enum class RebalanceKind {
   kChannelLevel,  // replication decision changed (micro)
   kHighLoad,      // Algorithm 2 (macro)
   kLowLoad,       // scale-down
-  kHashing,       // baseline: ring grew
+  kHashing,       // consistent-hashing comparator: ring grew
   kEmergency,     // failure detector fired; out-of-round repair
 };
 

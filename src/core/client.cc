@@ -306,7 +306,7 @@ void DynamothClient::place_subscription(const Channel& channel, ChannelState& st
   std::weak_ptr<bool> alive = alive_;
   for (ServerId s : st.sub_servers) {
     if (want.contains(s)) continue;
-    sim_.schedule_after(config_.unsubscribe_grace, [this, alive, channel, s] {
+    sim_.schedule_after(kUnsubscribeGrace, [this, alive, channel, s] {
       auto a = alive.lock();
       if (!a || !*a) return;
       auto it = channels_.find(channel);

@@ -37,12 +37,13 @@ namespace dynamoth::core {
 
 class DynamothClient : private ChannelTable::Listener {
  public:
+  /// Delay of the trailing unsubscribe when a subscription moves to another
+  /// server, so forwards already in flight to the old one are not lost.
+  static constexpr SimTime kUnsubscribeGrace = seconds(1);
+
   struct Config {
     SimTime entry_timeout = seconds(60);     // local-plan entry expiry
     SimTime sweep_interval = seconds(5);     // expiry check cadence
-    SimTime unsubscribe_grace = seconds(1);  // delay the trailing unsubscribe
-                                             // when moving a subscription, so
-                                             // in-flight forwards are not lost
     SimTime reconnect_delay = millis(500);   // after the server dropped us
 
     /// Publishes that could not reach any live server wait here for the

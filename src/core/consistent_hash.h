@@ -3,7 +3,8 @@
 // Dynamoth uses consistent hashing in two places:
 //  - as the *fallback* mapping ("plan 0") for channels that no plan entry
 //    covers — at bootstrap and for newly created channels (paper II-C);
-//  - as the entire balancing policy of the baseline comparator (paper V-D).
+//  - as the entire placement policy of the comparator (paper V-D), and as
+//    the ring under bounded-load placement (src/placement/).
 #pragma once
 
 #include <cstdint>

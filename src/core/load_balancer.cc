@@ -64,7 +64,15 @@ class DynamothLoadBalancer::RoundOpsImpl final : public placement::RoundOps {
       const std::set<ServerId>& exclude) const override {
     return lb_.servers_by_load(r_, exclude);
   }
-  [[nodiscard]] std::size_t roster_size() const override { return lb_.servers().size(); }
+  [[nodiscard]] std::vector<ServerId> roster() const override { return lb_.active_servers(); }
+  [[nodiscard]] std::vector<const Channel*> reported_channels(ServerId s) const override {
+    std::vector<const Channel*> names;
+    if (const LoadReport* report = lb_.latest_report(s)) {
+      names.reserve(report->channels.size());
+      for (const auto& [channel, _] : report->channels) names.push_back(&channel);
+    }
+    return names;
+  }
 
   [[nodiscard]] std::vector<placement::ChannelLoad> channel_loads() const override {
     std::vector<placement::ChannelLoad> loads;

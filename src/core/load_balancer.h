@@ -8,9 +8,10 @@
 //  2. system-level rebalancing, delegated to a PlacementPolicy
 //     (src/placement). The default GreedyPolicy is the paper's Algorithm 2 —
 //     migrate busiest channels off the most loaded server, rent new cloud
-//     servers when nothing else helps — plus the low-load drain; the one
-//     alternative, consistent hashing with bounded loads, slots into the
-//     same round, audit log and emergency path.
+//     servers when nothing else helps — plus the low-load drain. The
+//     alternatives, consistent hashing with bounded loads and the paper's
+//     plain consistent-hashing comparator, slot into the same round, audit
+//     log and emergency path.
 #pragma once
 
 #include <cstdint>

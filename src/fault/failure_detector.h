@@ -6,13 +6,8 @@
 // per second directly to the balancer node, so the balancer can watch the
 // inter-arrival process with no extra traffic.
 //
-// Two detection modes:
-//  - fixed timeout (default): a server is suspected once it has been silent
-//    longer than `timeout` — simple, predictable detection latency;
-//  - phi-accrual (Hayashibara et al.): the silence is scored against the
-//    observed inter-arrival distribution (normal approximation), and the
-//    server is suspected when phi = -log10 P(silence >= t) crosses
-//    `phi_threshold` — adapts to jittery report paths.
+// Detection is a fixed timeout: a server is suspected once it has been
+// silent longer than `timeout` — simple, predictable detection latency.
 //
 // The detector is pure bookkeeping over (server, time) pairs: it never
 // touches the network or the simulator, so it sits below core/ in the
@@ -20,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -31,14 +25,8 @@ namespace dynamoth::fault {
 class FailureDetector {
  public:
   struct Config {
-    /// Fixed-timeout mode: suspect after this much silence.
+    /// Suspect after this much silence.
     SimTime timeout = seconds(5);
-
-    /// Phi-accrual mode: suspect when phi crosses `phi_threshold` instead
-    /// of using the fixed timeout. Falls back to the timeout until enough
-    /// inter-arrival samples (>= 3) have been observed.
-    bool phi_accrual = false;
-    double phi_threshold = 8.0;
   };
 
   FailureDetector() : FailureDetector(Config{}) {}
@@ -56,8 +44,6 @@ class FailureDetector {
 
   /// Silence so far: time since the last heartbeat (or watch).
   [[nodiscard]] SimTime silence(ServerId server, SimTime now) const;
-  /// Phi-accrual suspicion level; 0 when not watched or just heard from.
-  [[nodiscard]] double phi(ServerId server, SimTime now) const;
   [[nodiscard]] bool suspected(ServerId server, SimTime now) const;
   /// All currently suspected servers, ascending id (deterministic order).
   [[nodiscard]] std::vector<ServerId> suspects(SimTime now) const;
@@ -66,13 +52,10 @@ class FailureDetector {
   [[nodiscard]] std::size_t watched_count() const { return watched_.size(); }
 
  private:
-  struct State {
-    SimTime last = 0;                  // last heartbeat (or watch) time
-    std::deque<SimTime> intervals;     // recent inter-arrival samples
-  };
-
   Config config_;
-  std::map<ServerId, State> watched_;  // ordered: deterministic iteration
+  /// Last heartbeat (or watch) time per server; ordered: deterministic
+  /// iteration.
+  std::map<ServerId, SimTime> watched_;
 };
 
 }  // namespace dynamoth::fault

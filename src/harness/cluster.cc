@@ -204,28 +204,6 @@ core::DynamothLoadBalancer& Cluster::use_dynamoth(core::DynamothLoadBalancer::Co
   return *raw;
 }
 
-baseline::ConsistentHashBalancer& Cluster::use_hash_balancer(
-    baseline::ConsistentHashBalancer::Config config) {
-  DYN_CHECK(balancer_ == nullptr);
-  net::NodeConfig node_config;
-  node_config.kind = net::NodeKind::kInfrastructure;
-  node_config.egress_bytes_per_sec = config_.client_egress;
-  balancer_node_ = network_->add_node(node_config);
-  auto lb = std::make_unique<baseline::ConsistentHashBalancer>(
-      sim_, *network_, registry_, base_ring_, balancer_node_, cloud_.get(), config);
-  auto* raw = lb.get();
-  DYN_TRACE(set_track_name(balancer_node_, "hash balancer"));
-  balancer_ = std::move(lb);
-  balancer_->set_plan_delivery([this](ServerId server, const core::PlanPtr& plan) {
-    deliver_plan(server, plan);
-  });
-  for (auto& [_, stack] : stacks_) {
-    if (registry_.find(stack.id) != nullptr) wire_balancer(stack);
-  }
-  balancer_->start();
-  return *raw;
-}
-
 void Cluster::deliver_plan(ServerId server, const core::PlanPtr& plan) {
   // Direct LB -> dispatcher transport (paper IV-A1), charged to the
   // balancer node's egress; looked up at arrival in case the server has

@@ -1,7 +1,7 @@
 // Experiment harness: assembles a complete Dynamoth deployment inside one
 // simulator — network, pub/sub servers with colocated LLA + dispatcher, the
-// cloud provisioner, an optional balancer (Dynamoth or the consistent-hashing
-// baseline), and clients.
+// cloud provisioner, an optional Dynamoth balancer (whose placement policy
+// also runs the consistent-hashing comparator), and clients.
 //
 // This is the emulation counterpart of the paper's 80-machine lab setup
 // (V-B): servers live on infrastructure nodes behind LAN latencies, clients
@@ -13,7 +13,6 @@
 #include <set>
 #include <vector>
 
-#include "baseline/consistent_hash_balancer.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/client.h"
@@ -100,12 +99,10 @@ class Cluster {
     return {crashed_.begin(), crashed_.end()};
   }
 
-  // ---- balancers (choose at most one) ----
+  // ---- balancer (at most one) ----
   core::DynamothLoadBalancer& use_dynamoth(core::DynamothLoadBalancer::Config config);
-  baseline::ConsistentHashBalancer& use_hash_balancer(
-      baseline::ConsistentHashBalancer::Config config);
   [[nodiscard]] core::BalancerBase* balancer() { return balancer_.get(); }
-  /// Node the balancer runs on (kInvalidNode before use_*). The
+  /// Node the balancer runs on (kInvalidNode before use_dynamoth). The
   /// eager-propagation ablation charges its broadcast traffic to this node.
   [[nodiscard]] NodeId balancer_node() const { return balancer_node_; }
 

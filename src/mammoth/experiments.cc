@@ -43,14 +43,6 @@ GameExperimentConfig default_game_experiment() {
 
   config.dynamoth.t_wait = seconds(15);
   config.dynamoth.max_servers = 8;              // paper: up to 8 Redis servers
-  config.hash.t_wait = seconds(15);
-  config.hash.max_servers = 8;
-  // Classic consistent hashing with a handful of virtual identifiers per
-  // server: the newcomer takes chunky, load-oblivious arcs, so "highly
-  // loaded servers do not lose significant load and tend to overload again
-  // soon" (paper V-D). Calibrated so the baseline saturates near the
-  // paper's observed ~625 players.
-  config.hash.virtual_nodes_per_server = 2;
   return config;
 }
 
@@ -80,8 +72,14 @@ core::BalancerBase* make_balancer(harness::Cluster& cluster, const GameExperimen
   switch (config.balancer) {
     case BalancerKind::kDynamoth:
       return &cluster.use_dynamoth(config.dynamoth);
-    case BalancerKind::kConsistentHashing:
-      return &cluster.use_hash_balancer(config.hash);
+    case BalancerKind::kConsistentHashing: {
+      // The paper's comparator (V-D): same thresholds, pacing and fleet cap,
+      // but ring growth as the only remedy and no channel replication.
+      core::DynamothLoadBalancer::Config hashing = config.dynamoth;
+      hashing.placement.kind = placement::PolicyKind::kHashing;
+      hashing.enable_replication = false;
+      return &cluster.use_dynamoth(hashing);
+    }
     case BalancerKind::kNone:
       break;
   }
@@ -192,10 +190,8 @@ GameExperimentResult GameExperimentRun::finish() {
   result_.rtt_us = probe_.histogram();
   result_.delivery_latency_us = game_.delivery_latency();
   result_.server_hours = cluster_.cloud().server_hours(cluster_.sim().now());
-  const std::size_t max_fleet = config_.balancer == BalancerKind::kConsistentHashing
-                                    ? config_.hash.max_servers
-                                    : config_.dynamoth.max_servers;
-  result_.static_fleet_hours = core::Cloud::static_fleet_hours(max_fleet, cluster_.sim().now());
+  result_.static_fleet_hours =
+      core::Cloud::static_fleet_hours(config_.dynamoth.max_servers, cluster_.sim().now());
   result_.total_updates = game_.total_updates_published();
   result_.executed_events = cluster_.sim().executed_events();
   result_.rng_draws = Rng::total_draws() - rng_draws_start_;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "baseline/consistent_hash_balancer.h"
 #include "core/load_balancer.h"
 #include "harness/cluster.h"
 #include "harness/probes.h"
@@ -35,8 +34,9 @@ struct GameExperimentConfig {
   BalancerKind balancer = BalancerKind::kDynamoth;
   harness::ClusterConfig cluster;  // initial_servers, capacities, latency model...
   GameConfig game;
+  /// Balancer config of both balancing kinds: kConsistentHashing runs it
+  /// with the hashing placement policy and replication off.
   core::DynamothLoadBalancer::Config dynamoth;
-  baseline::ConsistentHashBalancer::Config hash;
 
   std::vector<PopulationPoint> schedule;  // must be time-sorted
   SimTime duration = seconds(480);

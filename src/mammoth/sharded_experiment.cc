@@ -270,7 +270,6 @@ ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config
       shard_config.game.region.tile_owner = *tile_owner;
       shard_config.dynamoth.max_servers =
           fleet_share(config.dynamoth.max_servers, region, options.shards);
-      shard_config.hash.max_servers = fleet_share(config.hash.max_servers, region, options.shards);
     }
     return std::make_unique<GameShard>(shard_config, &engine, region, options, tile_owner);
   });

@@ -56,8 +56,9 @@ struct ShardedGameResult {
 
 /// Runs config under `options.shards` block-parallel regions. Cohort mode
 /// required for shards > 1 (region filtering is an apportionment property).
-/// Each region gets its share of the balancers' max_servers fleet: the shares
-/// sum to the unsharded fleet, and no region gets fewer than one server.
+/// Each region gets its share of the balancer's max_servers fleet (either
+/// BalancerKind runs config.dynamoth): the shares sum to the unsharded fleet,
+/// and no region gets fewer than one server.
 /// Deterministic for a fixed (config.seed, options.shards).
 [[nodiscard]] ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config,
                                                             const ShardOptions& options);

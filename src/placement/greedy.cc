@@ -20,7 +20,7 @@ void GreedyPolicy::high_load(RoundOps& ops) {
   const Limits& limits = ops.limits();
   // Algorithm 2. Bounded by a migration budget to stay O(channels).
   std::set<Channel> moved_this_round;
-  int outer_guard = static_cast<int>(ops.roster_size()) + 2;
+  int outer_guard = static_cast<int>(ops.roster().size()) + 2;
 
   while (outer_guard-- > 0) {
     // (H_max) = most pressured server (bandwidth LR, and CPU when enabled).

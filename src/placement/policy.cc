@@ -2,6 +2,7 @@
 
 #include "placement/bounded_load.h"
 #include "placement/greedy.h"
+#include "placement/hashing.h"
 
 namespace dynamoth::placement {
 
@@ -11,6 +12,8 @@ const char* to_string(PolicyKind kind) {
       return "greedy";
     case PolicyKind::kBoundedLoad:
       return "bounded-load";
+    case PolicyKind::kHashing:
+      return "hashing";
   }
   return "?";
 }
@@ -27,6 +30,8 @@ std::unique_ptr<PlacementPolicy> make_policy(const PolicyConfig& config) {
       return std::make_unique<GreedyPolicy>();
     case PolicyKind::kBoundedLoad:
       return std::make_unique<BoundedLoadPolicy>(config);
+    case PolicyKind::kHashing:
+      return std::make_unique<HashingPolicy>();
   }
   return std::make_unique<GreedyPolicy>();
 }

@@ -4,10 +4,10 @@
 // loaded server) is one point in a large placement design space. This
 // subsystem extracts the decision — given per-server channel loads, the
 // current plan and the server roster, which channel lives where — behind a
-// PlacementPolicy interface with two implementations: the paper's greedy
-// policy (the default) and consistent hashing with bounded loads. Both feed
-// the same balancer round, the same audit log, and the same
-// emergency-rebalance path.
+// PlacementPolicy interface with three implementations: the paper's greedy
+// policy (the default), consistent hashing with bounded loads, and the
+// paper's plain consistent-hashing comparator. All feed the same balancer
+// round, the same audit log, and the same emergency-rebalance path.
 //
 // Determinism contract: a policy may only depend on channel *names*, server
 // ids, and the load numbers it is handed — never on interned ChannelIds,
@@ -34,9 +34,11 @@ namespace dynamoth::placement {
 enum class PolicyKind : std::uint8_t {
   kGreedy,       // the paper's Algorithm 2, extracted verbatim (default)
   kBoundedLoad,  // consistent hashing with bounded loads (Mirrokni et al.)
+  kHashing,      // plain consistent hashing: the paper's comparator (V-D)
 };
 
-/// "greedy" / "bounded-load"; also the policy's name() and audit label.
+/// "greedy" / "bounded-load" / "hashing"; also the policy's name() and audit
+/// label.
 [[nodiscard]] const char* to_string(PolicyKind kind);
 
 struct PolicyConfig {
@@ -47,7 +49,7 @@ struct PolicyConfig {
   double bounded_epsilon = 0.25;
 };
 
-/// Thresholds the balancer round runs under; shared by both policies so a
+/// Thresholds the balancer round runs under; shared by every policy so a
 /// policy swap compares placement logic, not tuning.
 struct Limits {
   double lr_high = 0.85;
@@ -72,8 +74,8 @@ struct ChannelLoad {
 
 /// The balancer-side view of one decision round: id-indexed load state,
 /// the plan being edited, the roster, and the mutations a policy may make.
-/// All mutations flow through apply()/request_spawn()/begin_drain() so both
-/// policies feed the same audit log and fleet machinery.
+/// All mutations flow through apply()/request_spawn()/begin_drain() so every
+/// policy feeds the same audit log and fleet machinery.
 class RoundOps {
  public:
   virtual ~RoundOps() = default;
@@ -98,9 +100,12 @@ class RoundOps {
   /// pressured first, excluding `exclude`; id-ordered tie break.
   [[nodiscard]] virtual std::vector<ServerId> servers_by_load(
       const std::set<ServerId>& exclude) const = 0;
-  /// Attached servers, including ones without a report yet (the roster the
-  /// paper's outer migration guard is bounded by).
-  [[nodiscard]] virtual std::size_t roster_size() const = 0;
+  /// Attached servers, ascending id, including ones without a report yet
+  /// (the roster the paper's outer migration guard is bounded by).
+  [[nodiscard]] virtual std::vector<ServerId> roster() const = 0;
+  /// Channels named in `server`'s latest LLA report (name-ordered; empty
+  /// when it has none). Pointers are valid for the round.
+  [[nodiscard]] virtual std::vector<const Channel*> reported_channels(ServerId server) const = 0;
 
   /// Flat load vector: every channel with measured load this round, summed
   /// across servers, name-ordered. Replicated channels (explicit entries
@@ -131,7 +136,7 @@ class RoundOps {
 /// A placement policy: fills the system-level rebalance slot (the paper's
 /// Algorithm 2 position) and chooses emergency homes for channels orphaned
 /// by a failed server. Constructed once per balancer; may keep state across
-/// rounds (bounded-load keeps its internal ring).
+/// rounds (the ring-based policies keep their internal rings).
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;

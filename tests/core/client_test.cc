@@ -220,9 +220,7 @@ TEST(Client, ResubscribesAfterServerDroppedConnection) {
 
 TEST(Client, UnsubscribeGraceKeepsOldSubscriptionBriefly) {
   harness::Cluster cluster(fixture_config(2));
-  core::DynamothClient::Config cc;
-  cc.unsubscribe_grace = seconds(2);
-  auto& sub = cluster.add_client(cc);
+  auto& sub = cluster.add_client();
   const Channel c = "graceful";
   const ServerId home = cluster.base_ring()->lookup(c);
   const auto servers = cluster.server_ids();
@@ -242,12 +240,16 @@ TEST(Client, UnsubscribeGraceKeepsOldSubscriptionBriefly) {
   cluster.install_plan(plan);
   auto& pub = cluster.add_client();
   pub.publish(c);
-  cluster.sim().run_for(millis(500));
+  constexpr SimTime kGrace = core::DynamothClient::kUnsubscribeGrace;
+  cluster.sim().run_for(kGrace / 2);
 
   // New subscription placed, old one still present during the grace window.
   EXPECT_EQ(cluster.server(other).subscriber_count(c), 1u);
   EXPECT_EQ(cluster.server(home).subscriber_count(c), 1u);
-  cluster.sim().run_for(seconds(3));
+  // The switch reached the subscriber a few 5 ms hops after the publish, so
+  // the grace has expired by 1.5 x kGrace.
+  cluster.sim().run_for(kGrace);
+  EXPECT_EQ(cluster.server(other).subscriber_count(c), 1u);
   EXPECT_EQ(cluster.server(home).subscriber_count(c), 0u);
 }
 

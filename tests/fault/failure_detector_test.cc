@@ -56,35 +56,5 @@ TEST(FailureDetector, SuspectsAreAscendingAndExhaustive) {
   EXPECT_EQ(suspects[1], 9u);
 }
 
-TEST(FailureDetector, PhiAccrualAdaptsToRegularHeartbeats) {
-  FailureDetector::Config config;
-  config.phi_accrual = true;
-  config.phi_threshold = 8.0;
-  config.timeout = seconds(5);
-  FailureDetector det(config);
-
-  det.watch(1, 0);
-  for (int t = 1; t <= 10; ++t) det.heartbeat(1, seconds(t));
-
-  // A silence comparable to the observed interval is unremarkable...
-  EXPECT_FALSE(det.suspected(1, seconds(11)));
-  EXPECT_LT(det.phi(1, seconds(11)), 8.0);
-  // ...but several missed beats push phi past any sane threshold.
-  EXPECT_GT(det.phi(1, seconds(20)), 8.0);
-  EXPECT_TRUE(det.suspected(1, seconds(20)));
-}
-
-TEST(FailureDetector, PhiAccrualFallsBackToTimeoutWithoutSamples) {
-  FailureDetector::Config config;
-  config.phi_accrual = true;
-  config.timeout = seconds(5);
-  FailureDetector det(config);
-
-  det.watch(1, 0);
-  det.heartbeat(1, seconds(1));  // only one interval sample (< 3)
-  EXPECT_FALSE(det.suspected(1, seconds(5)));
-  EXPECT_TRUE(det.suspected(1, seconds(7)));
-}
-
 }  // namespace
 }  // namespace dynamoth::fault

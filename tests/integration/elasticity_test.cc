@@ -1,12 +1,14 @@
 // Closed-loop tests of the full system with a live load balancer: overload
 // triggers high-load rebalancing and cloud spawns; load removal triggers
-// scale-down; the consistent-hashing baseline grows its ring.
+// scale-down; under the hashing placement policy (the consistent-hashing
+// comparator) the balancer grows its ring instead.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "harness/cluster.h"
 #include "mammoth/game.h"
+#include "placement/hashing.h"
 
 namespace dynamoth {
 namespace {
@@ -105,10 +107,13 @@ TEST(Elasticity, LoadDropReleasesServers) {
 
 TEST(Elasticity, BaselineGrowsRingOnOverload) {
   harness::Cluster cluster(lb_config());
-  baseline::ConsistentHashBalancer::Config config;
+  core::DynamothLoadBalancer::Config config;
+  config.placement.kind = placement::PolicyKind::kHashing;
+  config.enable_replication = false;
   config.t_wait = seconds(5);
   config.max_servers = 4;
-  auto& lb = cluster.use_hash_balancer(config);
+  auto& lb = cluster.use_dynamoth(config);
+  const auto& ring = static_cast<const placement::HashingPolicy&>(lb.policy()).ring();
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> traffic;
   for (int ch = 0; ch < 8; ++ch) {
@@ -126,9 +131,9 @@ TEST(Elasticity, BaselineGrowsRingOnOverload) {
 
   EXPECT_GT(cluster.active_servers(), 1u);
   EXPECT_GE(lb.stats().servers_spawned, 1u);
-  EXPECT_EQ(lb.ring().server_count(), cluster.active_servers());
-  // Baseline never migrates by load and never scales down: every event is a
-  // ring growth.
+  EXPECT_EQ(ring.server_count(), cluster.active_servers());
+  // The comparator never migrates by load and never scales down: every
+  // event is a ring growth.
   for (const auto& event : lb.events()) {
     EXPECT_EQ(event.kind, core::RebalanceKind::kHashing);
   }

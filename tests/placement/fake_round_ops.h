@@ -120,7 +120,17 @@ class FakeRoundOps final : public RoundOps {
     });
     return ids;
   }
-  [[nodiscard]] std::size_t roster_size() const override { return capacity_.size(); }
+  [[nodiscard]] std::vector<ServerId> roster() const override {
+    std::vector<ServerId> ids;
+    for (const auto& [id, _] : capacity_) ids.push_back(id);
+    return ids;
+  }
+  /// The fake's latest report of a server is its current per-channel rates.
+  [[nodiscard]] std::vector<const Channel*> reported_channels(ServerId s) const override {
+    std::vector<const Channel*> names;
+    for (const auto& [channel, _] : rates_[s]) names.push_back(&channel);
+    return names;
+  }
   [[nodiscard]] std::vector<ChannelLoad> channel_loads() const override {
     std::map<Channel, double> total;
     for (const auto& [_, rates] : rates_) {

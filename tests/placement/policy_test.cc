@@ -17,7 +17,7 @@ using test::FakeRoundOps;
 // ---- factory / naming ----
 
 TEST(PolicyFactory, BuildsEveryKindWithMatchingName) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad}) {
+  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kHashing}) {
     PolicyConfig config;
     config.kind = kind;
     const auto policy = make_policy(config);
