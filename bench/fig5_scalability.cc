@@ -11,6 +11,7 @@
 // spawning, and holds average response time near a low baseline with short
 // spikes at rebalances; consistent hashing overloads early because servers
 // shed 1/N of their channels regardless of load.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,6 +63,25 @@ void print_run(const char* name, const GameExperimentResult& result) {
               static_cast<unsigned long long>(result.connection_drops));
 }
 
+void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--users N] [--shards K]\n"
+               "  --users N    attempted players (default 1200, the paper setup)\n"
+               "  --shards K   block-parallel regions (default 1)\n",
+               argv0);
+}
+
+/// Parses a whole-string positive integer into `out`; false otherwise
+/// (strtoull would accept "-1" and wrap it to ULLONG_MAX).
+bool parse_positive(const char* v, std::size_t& out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n <= 0) return false;
+  out = static_cast<std::size_t>(n);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,12 +94,16 @@ int main(int argc, char** argv) {
   std::size_t users = 1200;
   std::size_t shards = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      users = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    std::size_t* target = nullptr;
+    if (std::strcmp(argv[i], "--users") == 0) target = &users;
+    if (std::strcmp(argv[i], "--shards") == 0) target = &shards;
+    if (target == nullptr) continue;
+    if (i + 1 >= argc || !parse_positive(argv[i + 1], *target)) {
+      std::fprintf(stderr, "%s needs a positive number\n", argv[i]);
+      usage(argv[0]);
+      return 1;
     }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    }
+    ++i;
   }
   const double scale = static_cast<double>(users) / 1200.0;
 

@@ -1,6 +1,8 @@
 #include "core/client.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <utility>
 
 #include "common/check.h"
@@ -11,7 +13,75 @@ namespace dynamoth::core {
 namespace {
 /// Payload of a publish() that names no size.
 constexpr std::size_t kDefaultPayloadBytes = 128;
+
+std::uint32_t name_hash(std::string_view name) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+}
+
+/// Orders the sorted connection vector by server id.
+constexpr auto kByServer = [](const auto& conn, ServerId server) { return conn.server < server; };
 }  // namespace
+
+// ---- ServerSet ----
+
+void DynamothClient::ServerSet::insert(ServerId s) {
+  if (contains(s)) return;
+  DYN_CHECK(size_ < kMaxReplicas);
+  ServerId* pos = std::upper_bound(ids_, ids_ + size_, s);
+  std::copy_backward(pos, ids_ + size_, ids_ + size_ + 1);
+  *pos = s;
+  ++size_;
+}
+
+void DynamothClient::ServerSet::erase(ServerId s) {
+  ServerId* end = ids_ + size_;
+  ServerId* pos = std::find(ids_, end, s);
+  if (pos == end) return;
+  std::copy(pos + 1, end, pos);
+  --size_;
+}
+
+// ---- SlotIndex ----
+
+void DynamothClient::SlotIndex::insert(std::uint32_t key, Slot slot) {
+  if ((used_ + 1) * 4 > cells_.size() * 3) rehash(cells_.empty() ? 8 : cells_.size() * 2);
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home(key);
+  while (cells_[i].slot != kNoSlot) i = (i + 1) & mask;
+  cells_[i] = Cell{key, slot};
+  ++used_;
+}
+
+void DynamothClient::SlotIndex::erase(std::uint32_t key, Slot slot) {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home(key);
+  while (!(cells_[i].key == key && cells_[i].slot == slot)) {
+    DYN_CHECK(cells_[i].slot != kNoSlot);
+    i = (i + 1) & mask;
+  }
+  // Backward shift: pull later cells of the probe run into the hole unless
+  // their home lies cyclically in (hole, cell].
+  for (std::size_t j = (i + 1) & mask; cells_[j].slot != kNoSlot; j = (j + 1) & mask) {
+    const std::size_t h = home(cells_[j].key);
+    const bool stays = i <= j ? (i < h && h <= j) : (i < h || h <= j);
+    if (stays) continue;
+    cells_[i] = cells_[j];
+    i = j;
+  }
+  cells_[i].slot = kNoSlot;
+  --used_;
+}
+
+void DynamothClient::SlotIndex::rehash(std::size_t capacity) {
+  std::vector<Cell> old;
+  old.swap(cells_);
+  cells_.assign(capacity, Cell{});
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(capacity));
+  used_ = 0;
+  for (const Cell& c : old) {
+    if (c.slot != kNoSlot) insert(c.key, c.slot);
+  }
+}
 
 DynamothClient::Stats& DynamothClient::Stats::operator+=(const Stats& other) {
   static_assert(sizeof(Stats) == 17 * sizeof(std::uint64_t),
@@ -68,32 +138,85 @@ void DynamothClient::shutdown() {
     ChannelTable::instance().remove_listener(this);
     listening_ = false;
   }
-  for (auto& [_, conn] : conns_) conn->close();
+  for (Conn& c : conns_) c.conn->close();
   conns_.clear();
-  channels_.clear();
+  blocks_.clear();
+  slot_count_ = 0;
+  free_slots_.clear();
+  by_name_.clear();
+  by_id_.clear();
   patterns_.clear();
   pending_expansions_.clear();
   pending_.clear();
 }
 
-DynamothClient::ChannelState& DynamothClient::state_for(const Channel& channel) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) {
-    // First contact with this channel: consistent-hashing fallback (plan 0).
-    ChannelState st;
-    st.entry.servers = {base_ring_->lookup(channel)};
-    st.entry.mode = ReplicationMode::kNone;
-    st.entry.version = 0;
-    st.last_activity = sim_.now();
-    it = channels_.emplace(channel, std::move(st)).first;
+DynamothClient::ChannelState& DynamothClient::slot(Slot s) const {
+  // Block b holds slots [kFirstBlock * (2^b - 1), kFirstBlock * (2^(b+1) - 1)).
+  const Slot v = s + kFirstBlock;
+  const int b = std::bit_width(v) - std::bit_width(kFirstBlock);
+  return blocks_[static_cast<std::size_t>(b)][v - (kFirstBlock << b)];
+}
+
+DynamothClient::Slot DynamothClient::find_slot(std::string_view name) const {
+  return by_name_.find(name_hash(name), [&](Slot s) { return slot(s).name == name; });
+}
+
+DynamothClient::Slot DynamothClient::find_slot_for_delivery(const ps::Envelope& env) {
+  // The server that handled the envelope interned its name, so the id is
+  // cached on the envelope and this costs no string hash.
+  const ChannelId id = env.channel_id();
+  Slot s = by_id_.find(id, [](Slot) { return true; });
+  if (s != kNoSlot) return s;
+  s = find_slot(env.channel);
+  if (s != kNoSlot) {
+    ChannelState& st = slot(s);
+    DYN_CHECK(st.id == kInvalidChannelId);
+    st.id = id;
+    by_id_.insert(id, s);
   }
-  return it->second;
+  return s;
+}
+
+void DynamothClient::erase_slot(Slot s) {
+  ChannelState& st = slot(s);
+  by_name_.erase(st.name_hash, s);
+  if (st.id != kInvalidChannelId) by_id_.erase(st.id, s);
+  st = ChannelState{};  // not live, no name, no id: matches nothing
+  free_slots_.push_back(s);
+}
+
+void DynamothClient::sort_by_name(std::vector<Slot>& slots) const {
+  std::sort(slots.begin(), slots.end(),
+            [this](Slot a, Slot b) { return slot(a).name < slot(b).name; });
+}
+
+DynamothClient::ChannelState& DynamothClient::state_for(const Channel& channel) {
+  Slot s = find_slot(channel);
+  if (s != kNoSlot) return slot(s);
+
+  // First contact with this channel: consistent-hashing fallback (plan 0).
+  if (!free_slots_.empty()) {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    s = slot_count_++;
+    const auto block_size = kFirstBlock << blocks_.size();
+    if (s + kFirstBlock == block_size) blocks_.emplace_back(new ChannelState[block_size]);
+  }
+  ChannelState& st = slot(s);
+  st.name = channel;
+  st.name_hash = name_hash(channel);
+  st.live = true;
+  st.entry.servers = {base_ring_->lookup(channel)};
+  st.last_activity = sim_.now();
+  by_name_.insert(st.name_hash, s);
+  return st;
 }
 
 ps::RemoteConnection* DynamothClient::connection(ServerId server) {
-  auto it = conns_.find(server);
-  if (it != conns_.end()) {
-    if (it->second->server().running()) return it->second.get();
+  auto it = std::lower_bound(conns_.begin(), conns_.end(), server, kByServer);
+  if (it != conns_.end() && it->server == server) {
+    if (it->conn->server().running()) return it->conn.get();
     // The peer process is gone: the OS would fail further sends on this
     // socket, so the library tears it down here. A *restarted* server is a
     // new process — the old connection must not transfer to it.
@@ -108,7 +231,8 @@ ps::RemoteConnection* DynamothClient::connection(ServerId server) {
       [this, server](const ps::EnvelopePtr& env) { on_deliver(server, env); },
       [this, server](ps::CloseReason reason) { on_closed(server, reason); });
   ps::RemoteConnection* raw = conn.get();
-  conns_.emplace(server, std::move(conn));
+  conns_.insert(std::lower_bound(conns_.begin(), conns_.end(), server, kByServer),
+                Conn{server, std::move(conn)});
   // Cohort weight is declared before anything else rides the stream, so the
   // server (and its LLA) never sees a subscription at the wrong multiplicity.
   if (config_.multiplicity > 1) raw->update_weight(config_.multiplicity);
@@ -117,12 +241,22 @@ ps::RemoteConnection* DynamothClient::connection(ServerId server) {
   return raw;
 }
 
+void DynamothClient::erase_connection(ServerId server) {
+  auto it = std::lower_bound(conns_.begin(), conns_.end(), server, kByServer);
+  if (it != conns_.end() && it->server == server) conns_.erase(it);
+}
+
+bool DynamothClient::connected_to(ServerId server) const {
+  auto it = std::lower_bound(conns_.begin(), conns_.end(), server, kByServer);
+  return it != conns_.end() && it->server == server;
+}
+
 void DynamothClient::set_multiplicity(std::uint32_t multiplicity) {
   DYN_CHECK(multiplicity >= 1);
   if (config_.multiplicity == multiplicity) return;
   config_.multiplicity = multiplicity;
-  for (auto& [server, conn] : conns_) {
-    if (conn->open()) conn->update_weight(multiplicity);
+  for (Conn& c : conns_) {
+    if (c.conn->open()) c.conn->update_weight(multiplicity);
   }
 }
 
@@ -137,9 +271,9 @@ void DynamothClient::subscribe(const Channel& channel, MessageHandler handler) {
 }
 
 void DynamothClient::unsubscribe(const Channel& channel) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end() || !it->second.subscribed) return;
-  ChannelState& st = it->second;
+  ChannelState* found = find_state(channel);
+  if (found == nullptr || !found->subscribed) return;
+  ChannelState& st = *found;
   st.subscribed = false;
   st.handler = nullptr;
   st.last_activity = sim_.now();
@@ -186,9 +320,9 @@ void DynamothClient::punsubscribe(const std::string& pattern) {
   if (it == patterns_.end()) return;
   PatternState& ps = it->second;
   for (const Channel& channel : ps.channels) {
-    auto cit = channels_.find(channel);
-    if (cit == channels_.end()) continue;
-    ChannelState& st = cit->second;
+    ChannelState* found = find_state(channel);
+    if (found == nullptr) continue;
+    ChannelState& st = *found;
     std::erase(st.patterns, &ps);
     st.last_activity = sim_.now();
     if (!wants_subscription(st)) teardown_placement(channel, st);
@@ -249,13 +383,13 @@ void DynamothClient::drain_expansions() {
 
 void DynamothClient::place_subscription(const Channel& channel, ChannelState& st) {
   // Desired placement per replication mode (paper II-B).
-  std::set<ServerId> want;
+  ServerSet want;
   switch (st.entry.mode) {
     case ReplicationMode::kNone:
       want.insert(st.entry.primary());
       break;
     case ReplicationMode::kAllSubscribers:
-      want.insert(st.entry.servers.begin(), st.entry.servers.end());
+      for (ServerId s : st.entry.servers) want.insert(s);
       break;
     case ReplicationMode::kAllPublishers: {
       // Sticky random pick among the replicas; re-picked when invalidated.
@@ -281,14 +415,15 @@ void DynamothClient::place_subscription(const Channel& channel, ChannelState& st
     st.entry.mode = ReplicationMode::kNone;
     st.entry.version = 0;
     st.all_pubs_pick = kInvalidServer;
-    want = {st.entry.primary()};
+    want.clear();
+    want.insert(st.entry.primary());
   }
 
   // Subscribe where missing. Only placements that actually reached a live
   // server are recorded: recording wishes as facts made a subscriber whose
   // target died mid-placement believe it was covered forever, and the sweep
   // reconciliation below could never catch it.
-  std::set<ServerId> placed;
+  ServerSet placed;
   for (ServerId s : want) {
     if (st.sub_servers.contains(s)) {
       placed.insert(s);
@@ -309,9 +444,10 @@ void DynamothClient::place_subscription(const Channel& channel, ChannelState& st
     sim_.schedule_after(kUnsubscribeGrace, [this, alive, channel, s] {
       auto a = alive.lock();
       if (!a || !*a) return;
-      auto it = channels_.find(channel);
       // Only drop the old subscription if it has not become wanted again.
-      if (it != channels_.end() && it->second.sub_servers.contains(s)) return;
+      if (const ChannelState* cur = find_state(channel); cur && cur->sub_servers.contains(s)) {
+        return;
+      }
       if (ps::RemoteConnection* conn = connection(s)) conn->unsubscribe(channel);
     });
   }
@@ -372,7 +508,9 @@ bool DynamothClient::route(ChannelState& st, const ps::EnvelopePtr& env) {
 void DynamothClient::remember_publish(ChannelState& st, const ps::EnvelopePtr& env) {
   if (config_.republish_window <= 0 || env->kind != ps::MsgKind::kData) return;
   const SimTime cutoff = sim_.now() - config_.republish_window;
-  while (!st.recent.empty() && st.recent.front().first < cutoff) st.recent.pop_front();
+  st.recent.erase(st.recent.begin(),
+                  std::find_if(st.recent.begin(), st.recent.end(),
+                               [cutoff](const auto& r) { return r.first >= cutoff; }));
   st.recent.emplace_back(sim_.now(), env);
 }
 
@@ -517,12 +655,12 @@ void DynamothClient::on_deliver(ServerId /*from*/, const ps::EnvelopePtr& env) {
         ++stats_.duplicates_suppressed;
         return;
       }
-      auto it = channels_.find(env->channel);
-      if (it == channels_.end()) {
+      const Slot s = find_slot_for_delivery(*env);
+      if (s == kNoSlot) {
         ++stats_.stale_drops;  // e.g. unsubscribed while the message was in flight
         return;
       }
-      ChannelState& st = it->second;
+      ChannelState& st = slot(s);
       const bool explicit_sub = st.subscribed && st.handler;
       // Snapshot the matching pattern handlers before invoking anything: a
       // handler may mutate channel state (the member scratch keeps the
@@ -561,25 +699,30 @@ void DynamothClient::on_closed(ServerId from, ps::CloseReason /*reason*/) {
   // The stub is dead; drop it (deferred: we may be inside its callback).
   std::weak_ptr<bool> alive = alive_;
   sim_.schedule_after(0, [this, alive, from] {
-    if (auto a = alive.lock(); a && *a) conns_.erase(from);
+    if (auto a = alive.lock(); a && *a) erase_connection(from);
   });
 
   // Re-place subscriptions that lived on that server after a reconnect
   // delay (Redis clients reconnect and resubscribe after being dropped).
-  for (auto& [channel, st] : channels_) {
-    if (!st.sub_servers.contains(from)) continue;
+  // The reconnects are scheduled in channel-name order.
+  act_scratch_.clear();
+  for (Slot s = 0; s < slot_count_; ++s) {
+    if (slot(s).live && slot(s).sub_servers.contains(from)) act_scratch_.push_back(s);
+  }
+  sort_by_name(act_scratch_);
+  for (Slot s : act_scratch_) {
+    ChannelState& st = slot(s);
     st.sub_servers.erase(from);
     if (st.entry.mode == ReplicationMode::kAllPublishers && st.all_pubs_pick == from) {
       st.all_pubs_pick = kInvalidServer;
     }
     if (!wants_subscription(st)) continue;
-    Channel ch = channel;
-    sim_.schedule_after(config_.reconnect_delay, [this, alive, ch] {
+    sim_.schedule_after(config_.reconnect_delay, [this, alive, ch = st.name] {
       auto a = alive.lock();
       if (!a || !*a) return;
-      auto it = channels_.find(ch);
-      if (it == channels_.end() || !wants_subscription(it->second)) return;
-      ChannelState& st2 = it->second;
+      ChannelState* found = find_state(ch);
+      if (found == nullptr || !wants_subscription(*found)) return;
+      ChannelState& st2 = *found;
       // If the server vanished entirely, fall back to consistent hashing.
       bool any_alive = false;
       for (ServerId s : st2.entry.servers) {
@@ -599,49 +742,59 @@ void DynamothClient::on_closed(ServerId from, ps::CloseReason /*reason*/) {
 void DynamothClient::sweep() {
   flush_pending();
   // Expire plan entries for channels we neither subscribe to nor use
-  // (paper IV-A5): next use falls back to consistent hashing.
+  // (paper IV-A5): next use falls back to consistent hashing. Expiry sends
+  // nothing, so it runs in slot order; the channels that act below send
+  // commands, so they run in channel-name order.
   const SimTime now = sim_.now();
-  for (auto it = channels_.begin(); it != channels_.end();) {
-    ChannelState& st = it->second;
-    // Pattern-held channels never expire: the pattern's interest is
-    // standing, independent of traffic.
-    if (!wants_subscription(st) && now - st.last_activity > config_.entry_timeout) {
-      ++stats_.entries_expired;
-      it = channels_.erase(it);
+  act_scratch_.clear();
+  for (Slot s = 0; s < slot_count_; ++s) {
+    ChannelState& st = slot(s);
+    if (!st.live) continue;
+    if (!wants_subscription(st)) {
+      // Pattern-held channels never expire: the pattern's interest is
+      // standing, independent of traffic.
+      if (now - st.last_activity > config_.entry_timeout) {
+        ++stats_.entries_expired;
+        erase_slot(s);
+      }
       continue;
     }
-    if (wants_subscription(st)) {
+    if (config_.resubscribe_keepalive || placement_broken(st)) act_scratch_.push_back(s);
+  }
+  sort_by_name(act_scratch_);
+  for (Slot s : act_scratch_) {
+    ChannelState& st = slot(s);
+    if (placement_broken(st)) {
       // Reconciliation: a subscription whose placement is empty (placement
       // failed) or references a dead server is not actually receiving
       // anything — re-place it, falling back to the ring if needed.
-      bool broken = st.sub_servers.empty();
-      for (ServerId s : st.sub_servers) {
-        ps::PubSubServer* srv = registry_.find(s);
-        if (srv == nullptr || !srv->running()) {
-          broken = true;
-          break;
-        }
-      }
-      if (broken) {
-        ++stats_.fallback_resubscribes;
-        ensure_live_entry(it->first, st);
-        place_subscription(it->first, st);
-      } else if (config_.resubscribe_keepalive) {
-        // Re-SUBSCRIBE where we believe we are placed: idempotent at the
-        // server, and a zombie connection (closed server-side, notification
-        // lost) bounces with a reset, which finally tells us the truth.
-        for (ServerId s : st.sub_servers) {
-          if (ps::RemoteConnection* conn = connection(s)) conn->subscribe(it->first);
-        }
+      ++stats_.fallback_resubscribes;
+      ensure_live_entry(st.name, st);
+      place_subscription(st.name, st);
+    } else {
+      // Keepalive: re-SUBSCRIBE where we believe we are placed. Idempotent
+      // at the server, and a zombie connection (closed server-side,
+      // notification lost) bounces with a reset, which finally tells us the
+      // truth.
+      for (ServerId server : st.sub_servers) {
+        if (ps::RemoteConnection* conn = connection(server)) conn->subscribe(st.name);
       }
     }
-    ++it;
   }
 }
 
+bool DynamothClient::placement_broken(const ChannelState& st) const {
+  if (st.sub_servers.empty()) return true;
+  for (ServerId s : st.sub_servers) {
+    ps::PubSubServer* srv = registry_.find(s);
+    if (srv == nullptr || !srv->running()) return true;
+  }
+  return false;
+}
+
 bool DynamothClient::subscribed(const Channel& channel) const {
-  auto it = channels_.find(channel);
-  return it != channels_.end() && it->second.subscribed;
+  const ChannelState* st = find_state(channel);
+  return st != nullptr && st->subscribed;
 }
 
 bool DynamothClient::pattern_subscribed(const std::string& pattern) const {
@@ -654,13 +807,14 @@ std::set<Channel> DynamothClient::pattern_channels(const std::string& pattern) c
 }
 
 const PlanEntry* DynamothClient::plan_entry(const Channel& channel) const {
-  auto it = channels_.find(channel);
-  return it == channels_.end() ? nullptr : &it->second.entry;
+  const ChannelState* st = find_state(channel);
+  return st == nullptr ? nullptr : &st->entry;
 }
 
 std::set<ServerId> DynamothClient::subscription_servers(const Channel& channel) const {
-  auto it = channels_.find(channel);
-  return it == channels_.end() ? std::set<ServerId>{} : it->second.sub_servers;
+  const ChannelState* st = find_state(channel);
+  return st == nullptr ? std::set<ServerId>{}
+                       : std::set<ServerId>(st->sub_servers.begin(), st->sub_servers.end());
 }
 
 }  // namespace dynamoth::core

@@ -9,14 +9,16 @@
 // message id.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
-
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/channel_table.h"
@@ -181,10 +183,10 @@ class DynamothClient : private ChannelTable::Listener {
   [[nodiscard]] std::set<Channel> pattern_channels(const std::string& pattern) const;
   /// Current local-plan entry for `channel`, or nullptr if unknown.
   [[nodiscard]] const PlanEntry* plan_entry(const Channel& channel) const;
-  [[nodiscard]] std::size_t plan_size() const { return channels_.size(); }
+  [[nodiscard]] std::size_t plan_size() const { return slot_count_ - free_slots_.size(); }
   /// Servers where our subscription for `channel` currently lives.
   [[nodiscard]] std::set<ServerId> subscription_servers(const Channel& channel) const;
-  [[nodiscard]] bool connected_to(ServerId server) const { return conns_.contains(server); }
+  [[nodiscard]] bool connected_to(ServerId server) const;
 
  private:
   /// One registered pattern. Lives in the node-stable patterns_ map, so
@@ -195,29 +197,117 @@ class DynamothClient : private ChannelTable::Listener {
     std::set<Channel> channels;  // channels this pattern is expanded onto
   };
 
+  /// Ascending set of server ids, inline. It holds servers of one plan
+  /// entry, so kMaxReplicas bounds it. Iterates in ascending order, as the
+  /// std::set it replaces did: placement sends commands in this order.
+  class ServerSet {
+   public:
+    [[nodiscard]] bool contains(ServerId s) const { return std::find(begin(), end(), s) != end(); }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] const ServerId* begin() const { return ids_; }
+    [[nodiscard]] const ServerId* end() const { return ids_ + size_; }
+    void insert(ServerId s);
+    void erase(ServerId s);
+    void clear() { size_ = 0; }
+
+   private:
+    std::uint32_t size_ = 0;
+    ServerId ids_[kMaxReplicas] = {};
+  };
+
+  /// Index of a ChannelState in the channel table; stable while it lives.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = 0xFFFF'FFFF;
+
   struct ChannelState {
+    Channel name;  // short names sit in the string's inline buffer
+    /// Interned id, learned from the first delivery on this channel (the
+    /// API path never interns); kInvalidChannelId until then.
+    ChannelId id = kInvalidChannelId;
+    std::uint32_t name_hash = 0;
+    bool live = false;              // slot holds a channel (else free-listed)
+    bool subscribed = false;
     PlanEntry entry;                // current known mapping
     SimTime last_activity = 0;
-    bool subscribed = false;
     MessageHandler handler;
     /// Patterns expanded onto this channel. A channel is *wanted* while
     /// subscribed || !patterns.empty(); pattern-held channels never expire
     /// and follow every plan change like explicit subscriptions.
     std::vector<PatternState*> patterns;
-    std::set<ServerId> sub_servers;  // where the subscription is placed
+    ServerSet sub_servers;  // where the subscription is placed
     ServerId all_pubs_pick = kInvalidServer;  // sticky pick (all-publishers)
     std::uint64_t next_channel_seq = 0;       // per-channel publish sequence
-    /// Recently routed data publishes (send time, envelope), bounded by
-    /// republish_window; empty when the feature is off.
-    std::deque<std::pair<SimTime, ps::EnvelopePtr>> recent;
+    /// Recently routed data publishes (send time, envelope), oldest first,
+    /// bounded by republish_window; empty when the feature is off.
+    std::vector<std::pair<SimTime, ps::EnvelopePtr>> recent;
+  };
+
+  /// Open-addressed (linear probing) map from a 32-bit key to a Slot. Keys
+  /// need not be unique: find() confirms a candidate through `match`. Two
+  /// instances index the channel table, by name hash and by ChannelId.
+  class SlotIndex {
+   public:
+    template <class Match>
+    [[nodiscard]] Slot find(std::uint32_t key, Match&& match) const {
+      if (cells_.empty()) return kNoSlot;
+      const std::size_t mask = cells_.size() - 1;
+      for (std::size_t i = home(key);; i = (i + 1) & mask) {
+        const Cell& c = cells_[i];
+        if (c.slot == kNoSlot) return kNoSlot;
+        if (c.key == key && match(c.slot)) return c.slot;
+      }
+    }
+    void insert(std::uint32_t key, Slot slot);
+    /// Removes the cell mapping `key` to `slot` (backward-shift deletion,
+    /// so probes never need tombstones).
+    void erase(std::uint32_t key, Slot slot);
+    void clear() {
+      cells_.clear();
+      used_ = 0;
+      shift_ = 32;
+    }
+
+   private:
+    struct Cell {
+      std::uint32_t key = 0;
+      Slot slot = kNoSlot;  // kNoSlot: empty cell
+    };
+    /// Fibonacci hashing: the top log2(size) bits of key * 2^32/phi.
+    [[nodiscard]] std::size_t home(std::uint32_t key) const {
+      return static_cast<std::uint32_t>(key * 0x9E37'79B9u) >> shift_;
+    }
+    void rehash(std::size_t capacity);
+
+    std::vector<Cell> cells_;  // power-of-two size, load <= 3/4
+    std::size_t used_ = 0;
+    unsigned shift_ = 32;  // 32 - log2(cells_.size())
   };
 
   [[nodiscard]] static bool wants_subscription(const ChannelState& st) {
     return st.subscribed || !st.patterns.empty();
   }
 
+  // ---- the channel table (DESIGN.md section 7) ----
+
+  [[nodiscard]] ChannelState& slot(Slot s) const;
+  /// Name lookup (API path); never interns.
+  [[nodiscard]] Slot find_slot(std::string_view name) const;
+  /// Delivery lookup by the envelope's interned id; on a miss, falls back to
+  /// the name once and records the id in the slot.
+  [[nodiscard]] Slot find_slot_for_delivery(const ps::Envelope& env);
+  [[nodiscard]] ChannelState* find_state(std::string_view name) const {
+    const Slot s = find_slot(name);
+    return s == kNoSlot ? nullptr : &slot(s);
+  }
+  /// Frees the slot: it leaves both indexes and forgets its name and id.
+  void erase_slot(Slot s);
+  /// Sorts slots by channel name: the order std::map iteration gave the
+  /// paths whose commands and events must stay in that order.
+  void sort_by_name(std::vector<Slot>& slots) const;
+
   ChannelState& state_for(const Channel& channel);
   ps::RemoteConnection* connection(ServerId server);
+  void erase_connection(ServerId server);
   void apply_entry(const Channel& channel, const PlanEntry& entry);
   void place_subscription(const Channel& channel, ChannelState& st);
   /// Falls back to the consistent-hash ring when every server in the
@@ -236,6 +326,9 @@ class DynamothClient : private ChannelTable::Listener {
   void on_deliver(ServerId from, const ps::EnvelopePtr& env);
   void on_closed(ServerId from, ps::CloseReason reason);
   void sweep();
+  /// True when a wanted channel's placement is empty or names a dead
+  /// server: it is not receiving anything.
+  [[nodiscard]] bool placement_broken(const ChannelState& st) const;
 
   // ---- pattern expansion (DESIGN.md section 14) ----
 
@@ -260,7 +353,20 @@ class DynamothClient : private ChannelTable::Listener {
   Config config_;
   Rng rng_;
 
-  std::map<Channel, ChannelState> channels_;
+  /// The local plan P(C), one slot per known channel. Slots live in blocks
+  /// of 4, 8, 16, ... states (block b holds kFirstBlock << b) that never
+  /// move: a handler may subscribe to a new channel while its own slot's
+  /// closure is running. Freed slots are reused; nothing is allocated until
+  /// the first channel is touched.
+  static constexpr Slot kFirstBlock = 4;
+  std::vector<std::unique_ptr<ChannelState[]>> blocks_;
+  Slot slot_count_ = 0;  // slots ever handed out (live + free)
+  std::vector<Slot> free_slots_;
+  SlotIndex by_name_;  // key: name hash
+  SlotIndex by_id_;    // key: ChannelId, for slots that have learned theirs
+  /// Slots one sweep or drop acts on, sorted by name (member: no
+  /// allocation per sweep).
+  std::vector<Slot> act_scratch_;
   /// Registered patterns by text. std::map: node addresses are stable, so
   /// ChannelState::patterns can hold raw pointers.
   std::map<std::string, PatternState> patterns_;
@@ -271,7 +377,13 @@ class DynamothClient : private ChannelTable::Listener {
   std::vector<PatternState*> pattern_scratch_;
   bool expansion_scheduled_ = false;
   bool listening_ = false;  // registered as a ChannelTable listener
-  std::map<ServerId, std::unique_ptr<ps::RemoteConnection>> conns_;
+  struct Conn {
+    ServerId server;
+    std::unique_ptr<ps::RemoteConnection> conn;
+  };
+  /// Open connections, sorted by server id (the order shutdown() and
+  /// set_multiplicity() send their commands in).
+  std::vector<Conn> conns_;
   /// Refused publishes awaiting retry. Mutable envelopes: a stashed message
   /// was never handed to a receiver, so restamping its entry version on
   /// flush is safe.

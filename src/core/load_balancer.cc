@@ -10,11 +10,6 @@
 
 namespace dynamoth::core {
 
-namespace {
-/// Upper bound on an Algorithm 1 replica set (the fleet size caps it too).
-constexpr std::size_t kMaxReplicas = 8;
-}  // namespace
-
 DynamothLoadBalancer::DynamothLoadBalancer(sim::Simulator& sim, net::Network& network,
                                            ServerRegistry& registry,
                                            std::shared_ptr<const ConsistentHashRing> base_ring,
@@ -92,7 +87,6 @@ class DynamothLoadBalancer::RoundOpsImpl final : public placement::RoundOps {
         obs::RebalanceTrigger{std::move(reason), server, value, threshold});
   }
   void set_kind(RebalanceKind kind) override { r_.kind = kind; }
-  void mark_overloaded() override { r_.overloaded = true; }
   void note_migration() override { ++lb_.lb_stats_.channels_migrated; }
   bool request_spawn() override {
     if (!lb_.request_spawn_if_possible()) return false;

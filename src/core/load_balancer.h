@@ -111,7 +111,6 @@ class DynamothLoadBalancer final : public BalancerBase {
     std::map<ServerId, std::map<Channel, double>> cpu_rates;  // CPU util per channel
     std::map<Channel, ChannelAggregate> channels;
     bool changed = false;
-    bool overloaded = false;  // some server above lr_high this round
     RebalanceKind kind = RebalanceKind::kChannelLevel;
     obs::RebalanceRecord rec;  // decision context for the audit log
   };

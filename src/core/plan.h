@@ -8,6 +8,7 @@
 // dispatchers detect stale publishers and repair delivery.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,6 +30,10 @@ enum class ReplicationMode : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ReplicationMode mode);
+
+/// Upper bound on an Algorithm 1 replica set, so on any entry's server list
+/// (the fleet size caps it too).
+inline constexpr std::size_t kMaxReplicas = 8;
 
 struct PlanEntry {
   std::vector<ServerId> servers;  // owners, never empty for a valid entry

@@ -101,7 +101,7 @@ class Cluster {
 
   // ---- balancer (at most one) ----
   core::DynamothLoadBalancer& use_dynamoth(core::DynamothLoadBalancer::Config config);
-  [[nodiscard]] core::BalancerBase* balancer() { return balancer_.get(); }
+  [[nodiscard]] core::DynamothLoadBalancer* balancer() { return balancer_.get(); }
   /// Node the balancer runs on (kInvalidNode before use_dynamoth). The
   /// eager-propagation ablation charges its broadcast traffic to this node.
   [[nodiscard]] NodeId balancer_node() const { return balancer_node_; }
@@ -144,7 +144,7 @@ class Cluster {
   std::shared_ptr<core::ConsistentHashRing> base_ring_mut_;
   std::shared_ptr<const core::ConsistentHashRing> base_ring_;
   std::unique_ptr<core::Cloud> cloud_;
-  std::unique_ptr<core::BalancerBase> balancer_;
+  std::unique_ptr<core::DynamothLoadBalancer> balancer_;
   NodeId balancer_node_ = kInvalidNode;
 
   std::map<ServerId, ServerStack> stacks_;      // live + retired (kept alive)

@@ -165,9 +165,7 @@ void BoundedLoadPolicy::system_rebalance(RoundOps& ops, bool scale_down_allowed)
   // more overflow. The fallback placement already handled the channel.
   const bool capacity_short =
       last_round_.overflow && p_max * limits.lr_high >= limits.lr_safe;
-  const bool overloaded = p_max >= 1.0 || capacity_short;
-  if (overloaded) {
-    ops.mark_overloaded();
+  if (p_max >= 1.0 || capacity_short) {
     ops.set_kind(core::RebalanceKind::kHighLoad);
     if (capacity_short) {
       ops.add_trigger("bounded-load cap overflow", hot, assigned[hot], cap[hot]);

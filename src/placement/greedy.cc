@@ -36,7 +36,6 @@ void GreedyPolicy::high_load(RoundOps& ops) {
     // pressure >= 1 means past lr_high (or cpu_high).
     if (h_max == kInvalidServer || p_max < 1.0) return;
     overloaded_ = true;
-    ops.mark_overloaded();
     ops.set_kind(core::RebalanceKind::kHighLoad);
     const bool cpu_bound =
         limits.cpu_aware &&

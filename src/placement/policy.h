@@ -123,7 +123,6 @@ class RoundOps {
   virtual void add_trigger(std::string reason, ServerId server, double value,
                            double threshold) = 0;
   virtual void set_kind(core::RebalanceKind kind) = 0;
-  virtual void mark_overloaded() = 0;
   virtual void note_migration() = 0;
   /// Asks the cloud for one server (subject to max_servers and a pending
   /// spawn); returns true when actually requested, and records it.

@@ -14,15 +14,17 @@ RemoteConnection::RemoteConnection(sim::Simulator& sim, net::Network& network,
       client_node_(client_node),
       server_(server),
       ctx_(std::make_shared<Ctx>()),
+      deliver_(std::move(on_deliver)),
       closed_(std::move(on_closed)) {
   ctx_->self = this;
   conn_ = server_.open_connection(
       client_node_,
-      on_deliver ? PubSubServer::DeliverFn(
-                       [ctx = ctx_, deliver = std::move(on_deliver)](const EnvelopePtr& env) mutable {
-                         if (ctx->self != nullptr) deliver(env);
-                       })
-                 : nullptr,
+      // Captures only the guard (16 bytes), so the server's callback holds
+      // it inline; the user's callback stays here in deliver_.
+      deliver_ ? PubSubServer::DeliverFn([ctx = ctx_](const EnvelopePtr& env) {
+                   if (RemoteConnection* self = ctx->self) self->deliver_(env);
+                 })
+               : nullptr,
       // The open_ check makes the close callback one-shot: a server-sent
       // close notification and a connection reset can race (e.g. an overflow
       // close whose notification was delayed), and the client must hear

@@ -85,6 +85,12 @@ class RemoteConnection {
   SimTime last_cmd_arrival_ = 0;  // per-connection FIFO (TCP-like stream)
   bool open_ = false;
   std::shared_ptr<Ctx> ctx_;
+  /// The user's delivery callback. The wrapper the server holds reaches it
+  /// through ctx_, so it runs only while this stub is alive. A handler may
+  /// destroy the stub while deliver_ runs (the client drops connections to
+  /// dead servers), so neither the wrapper nor deliver_ may touch their
+  /// captures after the handler returns.
+  DeliverFn deliver_;
   /// The user's close callback; the reset path can fire it (through ctx_)
   /// even though the server-side close wrapper is already gone.
   ClosedFn closed_;

@@ -253,6 +253,216 @@ TEST(Client, UnsubscribeGraceKeepsOldSubscriptionBriefly) {
   EXPECT_EQ(cluster.server(home).subscriber_count(c), 0u);
 }
 
+// ---- the channel table: slot reuse, id learning, name-ordered commands ----
+
+TEST(Client, ExpiredEntryContactedAgainFallsBackToRingVersionZero) {
+  harness::Cluster cluster(fixture_config(2));
+  core::DynamothClient::Config cc;
+  cc.entry_timeout = seconds(2);
+  cc.sweep_interval = seconds(1);
+  auto& client = cluster.add_client(cc);
+  const Channel c = "expiring";
+  const ServerId home = cluster.base_ring()->lookup(c);
+  const auto servers = cluster.server_ids();
+  const ServerId other = servers[0] == home ? servers[1] : servers[0];
+
+  client.publish(c);
+  client.absorb_entry(c, PlanEntry{{other}, ReplicationMode::kNone, 4});
+  ASSERT_EQ(client.plan_entry(c)->version, 4u);
+  cluster.sim().run_for(seconds(5));
+  ASSERT_EQ(client.plan_entry(c), nullptr);
+
+  // The freed slot must not carry the learned entry into the next contact.
+  client.publish(c);
+  const PlanEntry* entry = client.plan_entry(c);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->version, 0u);
+  EXPECT_EQ(entry->servers, std::vector<ServerId>{home});
+}
+
+TEST(Client, DeliveryAfterUnsubscribeCountsStaleDrop) {
+  harness::Cluster cluster(fixture_config(1));
+  auto& sub = cluster.add_client();
+  auto& pub = cluster.add_client();
+  int got = 0;
+  sub.subscribe("c", [&](const ps::EnvelopePtr&) { ++got; });
+  cluster.sim().run_for(seconds(1));
+  pub.publish("c");  // the first delivery teaches the slot its channel id
+  cluster.sim().run_for(seconds(1));
+  ASSERT_EQ(got, 1);
+
+  // Publish, then unsubscribe while the fan-out is on the wire back to us
+  // (5 ms per hop): the server still delivers it.
+  pub.publish("c");
+  cluster.sim().run_for(millis(7));
+  sub.unsubscribe("c");
+  cluster.sim().run_for(seconds(1));
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(sub.stats().stale_drops, 1u);
+  EXPECT_EQ(sub.stats().received, 1u);
+}
+
+TEST(Client, ReusedSlotNeverReceivesTheOldChannelsMessages) {
+  harness::Cluster cluster(fixture_config(1));
+  core::DynamothClient::Config cc;
+  cc.entry_timeout = 0;           // expire at the first sweep after the last use
+  cc.sweep_interval = millis(1);
+  auto& sub = cluster.add_client(cc);
+  auto& pub = cluster.add_client();
+  int got_old = 0;
+  int got_new = 0;
+  sub.subscribe("old", [&](const ps::EnvelopePtr&) { ++got_old; });
+  cluster.sim().run_for(seconds(1));
+  pub.publish("old");  // the slot learns "old"'s id
+  cluster.sim().run_for(seconds(1));
+  ASSERT_EQ(got_old, 1);
+
+  // A second "old" message is on the wire back to us when "old" is dropped,
+  // expires and hands its slot to "new".
+  pub.publish("old");
+  cluster.sim().run_for(millis(7));
+  sub.unsubscribe("old");
+  cluster.sim().run_for(millis(1) + millis(1) / 2);
+  ASSERT_EQ(sub.plan_entry("old"), nullptr);
+  sub.subscribe("new", [&](const ps::EnvelopePtr&) { ++got_new; });
+  ASSERT_EQ(sub.plan_size(), 1u);
+  cluster.sim().run_for(seconds(1));
+
+  EXPECT_EQ(got_old, 1);
+  EXPECT_EQ(got_new, 0);
+  EXPECT_EQ(sub.stats().stale_drops, 1u);
+
+  // The reused slot learns its own id and delivers normally.
+  pub.publish("new");
+  cluster.sim().run_for(seconds(1));
+  EXPECT_EQ(got_new, 1);
+}
+
+/// Records the channels one client node subscribes to on a server, in the
+/// order the server processes the SUBSCRIBE commands.
+class SubscribeRecorder final : public ps::LocalObserver {
+ public:
+  explicit SubscribeRecorder(NodeId client) : client_(client) {}
+  void on_publish(const ps::EnvelopePtr&, std::size_t, std::uint32_t) override {}
+  void on_subscribe(ps::ConnId, const Channel& channel, NodeId client_node) override {
+    if (client_node == client_ && !is_control_channel(channel)) channels.push_back(channel);
+  }
+  void on_unsubscribe(ps::ConnId, const Channel&, NodeId) override {}
+  void on_disconnect(ps::ConnId, const std::vector<Channel>&, const std::vector<std::string>&,
+                     ps::CloseReason) override {}
+  std::vector<Channel> channels;
+
+ private:
+  NodeId client_;
+};
+
+const std::vector<Channel> kUnsortedNames = {"m", "b", "z", "a"};
+const std::vector<Channel> kSortedNames = {"a", "b", "m", "z"};
+
+TEST(Client, SweepReconciliationSubscribesInChannelNameOrder) {
+  harness::Cluster cluster(fixture_config(1));
+  const ServerId s = cluster.server_ids()[0];
+  core::DynamothClient::Config cc;
+  cc.sweep_interval = seconds(1);
+  auto& sub = cluster.add_client(cc);
+  cluster.crash_server(s);
+  // Placement fails while the server is down: every sub_servers stays empty.
+  for (const Channel& c : kUnsortedNames) sub.subscribe(c, [](const ps::EnvelopePtr&) {});
+  cluster.sim().run_for(seconds(2));
+  cluster.restart_server(s);
+  SubscribeRecorder recorder(sub.node());
+  cluster.server(s).add_observer(&recorder);
+  cluster.sim().run_for(seconds(2));
+  cluster.server(s).remove_observer(&recorder);
+
+  EXPECT_GE(sub.stats().fallback_resubscribes, 4u);
+  EXPECT_EQ(recorder.channels, kSortedNames);
+}
+
+TEST(Client, ReplacementAfterDropSubscribesInChannelNameOrder) {
+  harness::ClusterConfig config = fixture_config(1);
+  // Tiny buffers: the flood overflows the subscriber's connection.
+  config.pubsub.conn_drain_bytes_per_sec = 2000;
+  config.pubsub.conn_output_buffer_limit = 2000;
+  harness::Cluster cluster(config);
+  const ServerId s = cluster.server_ids()[0];
+  core::DynamothClient::Config cc;
+  cc.reconnect_delay = millis(200);
+  auto& sub = cluster.add_client(cc);
+  auto& pub = cluster.add_client();
+  SubscribeRecorder recorder(sub.node());
+  cluster.server(s).add_observer(&recorder);
+  for (const Channel& c : kUnsortedNames) sub.subscribe(c, [](const ps::EnvelopePtr&) {});
+  cluster.sim().run_for(seconds(1));
+  ASSERT_EQ(recorder.channels, kUnsortedNames);  // first placement: call order
+
+  for (int i = 0; i < 200; ++i) pub.publish("m", 400);
+  cluster.sim().run_for(seconds(5));
+  cluster.server(s).remove_observer(&recorder);
+  ASSERT_GE(sub.stats().connection_drops, 1u);
+
+  // Each re-placement round subscribes every channel again, by name.
+  ASSERT_GE(recorder.channels.size(), 8u);
+  ASSERT_EQ(recorder.channels.size() % 4, 0u);
+  for (std::size_t i = 4; i < recorder.channels.size(); i += 4) {
+    const std::vector<Channel> round(recorder.channels.begin() + static_cast<std::ptrdiff_t>(i),
+                                     recorder.channels.begin() + static_cast<std::ptrdiff_t>(i + 4));
+    EXPECT_EQ(round, kSortedNames) << "round starting at " << i;
+  }
+}
+
+/// One client-table workout on channel names with `prefix`: subscriptions,
+/// publishes, an unsubscribe, expiry and slot reuse. Returns what the
+/// clients saw, in order, plus the event count.
+std::vector<std::string> client_table_workout(const std::string& prefix) {
+  harness::Cluster cluster(fixture_config(2));
+  core::DynamothClient::Config cc;
+  cc.entry_timeout = seconds(2);
+  cc.sweep_interval = seconds(1);
+  auto& sub = cluster.add_client(cc);
+  auto& pub = cluster.add_client(cc);
+  std::vector<std::string> seen;
+  auto record = [&seen](const ps::EnvelopePtr& e) {
+    seen.push_back(e->channel + "#" + std::to_string(e->id.seq));
+  };
+  for (int i = 0; i < 12; ++i) sub.subscribe(prefix + std::to_string(i), record);
+  cluster.sim().run_for(seconds(1));
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 12; ++i) pub.publish(prefix + std::to_string((i * 5 + round) % 12));
+    for (int i = 0; i < 4; ++i) pub.publish(prefix + "solo" + std::to_string(round * 4 + i));
+    cluster.sim().run_for(millis(500));
+  }
+  for (int i = 0; i < 12; i += 3) sub.unsubscribe(prefix + std::to_string(i));
+  cluster.sim().run_for(seconds(5));  // unused entries expire; slots free up
+  for (int i = 0; i < 6; ++i) sub.subscribe(prefix + "late" + std::to_string(i), record);
+  cluster.sim().run_for(seconds(1));
+  for (int i = 0; i < 6; ++i) pub.publish(prefix + "late" + std::to_string(i));
+  for (int i = 0; i < 12; ++i) pub.publish(prefix + std::to_string(i));
+  cluster.sim().run_for(seconds(2));
+
+  const auto& st = sub.stats();
+  seen.push_back("received=" + std::to_string(st.received) +
+                 " stale=" + std::to_string(st.stale_drops) +
+                 " expired=" + std::to_string(st.entries_expired + pub.stats().entries_expired) +
+                 " plan=" + std::to_string(sub.plan_size()) + "/" +
+                 std::to_string(pub.plan_size()) +
+                 " events=" + std::to_string(cluster.sim().executed_events()));
+  return seen;
+}
+
+TEST(Client, TableWorkoutIsDeterministicOnAWarmChannelTable) {
+  // The first run interns every name; the second finds them all interned,
+  // so servers and dispatchers take their "known channel" branches from the
+  // start. The client table never interns and must not care.
+  const std::string prefix = "warm-table-test:";
+  ASSERT_EQ(ChannelTable::instance().find(prefix + "0"), kInvalidChannelId);
+  const std::vector<std::string> cold = client_table_workout(prefix);
+  ASSERT_NE(ChannelTable::instance().find(prefix + "0"), kInvalidChannelId);
+  const std::vector<std::string> warm = client_table_workout(prefix);
+  EXPECT_EQ(cold, warm);
+  EXPECT_GT(cold.size(), 36u);
+}
+
 TEST(ClientPattern, PsubscribeExpandsOverExistingChannels) {
   harness::Cluster cluster(fixture_config());
   auto& other = cluster.add_client();

@@ -66,7 +66,6 @@ class FakeRoundOps final : public RoundOps {
   };
   [[nodiscard]] const std::vector<Move>& moves() const { return moves_; }
   [[nodiscard]] std::size_t migrations() const { return migrations_; }
-  [[nodiscard]] bool overloaded() const { return overloaded_; }
   [[nodiscard]] core::RebalanceKind kind() const { return kind_; }
   [[nodiscard]] ServerId drained() const { return drained_; }
   [[nodiscard]] std::size_t spawns() const { return spawns_; }
@@ -74,7 +73,6 @@ class FakeRoundOps final : public RoundOps {
   void reset_round() {
     moves_.clear();
     migrations_ = 0;
-    overloaded_ = false;
     kind_ = core::RebalanceKind::kChannelLevel;
     drained_ = kInvalidServer;
     triggers_ = 0;
@@ -165,7 +163,6 @@ class FakeRoundOps final : public RoundOps {
   }
   void add_trigger(std::string, ServerId, double, double) override { ++triggers_; }
   void set_kind(core::RebalanceKind kind) override { kind_ = kind; }
-  void mark_overloaded() override { overloaded_ = true; }
   void note_migration() override { ++migrations_; }
   bool request_spawn() override {
     if (spawn_id_ == kInvalidServer) return false;
@@ -191,7 +188,6 @@ class FakeRoundOps final : public RoundOps {
 
   std::vector<Move> moves_;
   std::size_t migrations_ = 0;
-  bool overloaded_ = false;
   core::RebalanceKind kind_ = core::RebalanceKind::kChannelLevel;
   ServerId drained_ = kInvalidServer;
   std::size_t spawns_ = 0;
