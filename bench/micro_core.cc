@@ -540,32 +540,6 @@ void BM_ScaleWeightedFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaleWeightedFanout)->Arg(1)->Arg(100)->Arg(10'000);
 
-void BM_ScaleBucketedDelivery(benchmark::State& state) {
-  // Same-(destination, arrival) deliveries coalesce into one shared bucket
-  // event (net::Network bucket slab) instead of one heap event each; arg =
-  // fan-out per arrival tick. Egress is fast enough that transmit time
-  // rounds to zero, so every push in a batch lands on the same tick.
-  const int fan = static_cast<int>(state.range(0));
-  sim::Simulator sim;
-  net::Network network(sim, std::make_unique<net::FixedLatencyModel>(millis(5), millis(1)),
-                       Rng(3));
-  const NodeId src = network.add_node({net::NodeKind::kInfrastructure, 1e15});
-  const NodeId dst = network.add_node({net::NodeKind::kClient, 1e15});
-  std::uint64_t got = 0;
-  for (auto _ : state) {
-    {
-      net::Network::FanoutBatch batch(network, src);
-      for (int i = 0; i < fan; ++i) {
-        batch.send(dst, 128, [&got] { ++got; });
-      }
-    }
-    sim.run();
-  }
-  benchmark::DoNotOptimize(got);
-  state.SetItemsProcessed(state.iterations() * fan);
-}
-BENCHMARK(BM_ScaleBucketedDelivery)->Arg(16)->Arg(256);
-
 void BM_ScaleCohortGame(benchmark::State& state) {
   // End-to-end cohort-mode game run (tile cohorts + migration + balancer)
   // at a fixed population: 10 simulated seconds per iteration. Wall cost

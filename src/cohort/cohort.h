@@ -17,8 +17,7 @@
 //    so the channel receives the same publication rate as N members each
 //    publishing at the per-member rate.
 //  - Receiving: ONE delivery event arrives per publication (the weighted
-//    wire run; same-arrival events additionally coalesce in the network's
-//    FanoutBatch buckets) and is expanded here into exact per-member counts:
+//    wire run) and is expanded here into exact per-member counts:
 //    deliveries += N, bytes += N x wire bytes, and the delivery-latency
 //    histogram gains N entries at the observed latency via record_n. The
 //    publish->own-delivery RTT is recorded ONCE per echo — in individual
@@ -95,14 +94,6 @@ class Cohort {
   /// the aggregate publisher. 0 members parks the cohort (unsubscribed,
   /// silent) until a later resize revives it.
   void set_members(std::uint32_t members);
-
-  /// Boundary-AoI relay (block-parallel mode): every member hears `count`
-  /// publications of `bytes` each that were published in a REMOTE region and
-  /// relayed over the inter-region gateway, `latency` after publication.
-  /// Same expansion as on_message — count x members per-member deliveries
-  /// and histogram entries — but no wire delivery event: the relayed copy
-  /// never touched the local pub/sub fabric.
-  void record_remote_deliveries(std::uint64_t count, std::size_t bytes, SimTime latency);
 
   [[nodiscard]] std::uint32_t members() const { return config_.members; }
   [[nodiscard]] const Channel& channel() const { return config_.channel; }

@@ -208,13 +208,6 @@ void Game::add_members(std::size_t idx, std::uint32_t count) {
   active_ += count;
 }
 
-void Game::deliver_remote(std::size_t idx, std::uint64_t count, std::size_t bytes,
-                          SimTime latency) {
-  DYN_CHECK(config_.cohort.enabled);
-  if (count == 0 || idx >= cohorts_.size() || cohorts_[idx] == nullptr) return;
-  cohorts_[idx]->record_remote_deliveries(count, bytes, latency);
-}
-
 std::uint64_t Game::total_updates_published() const {
   std::uint64_t total = 0;
   for (const auto& p : players_) total += p->updates_published();

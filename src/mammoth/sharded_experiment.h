@@ -3,15 +3,10 @@
 // density — and each region runs as a complete sub-cluster (its own
 // Simulator, Network, balancer fleet and cohort population) on its own
 // sim::ShardedEngine shard. Regions are coupled only through an
-// inter-region gateway:
-//
-//  - Migration: a member whose aggregate random-walk step crosses a region
-//    border leaves its shard, occupies the gateway's egress port, and
-//    arrives at the owning region one inter-region delay later (the engine
-//    lookahead) as a BoundaryEvent.
-//  - Boundary AoI (opt-in): publications in a tile adjacent to a region
-//    border are relayed, once per second in aggregate, to the neighbouring
-//    region's edge tiles — members there hear them at gateway latency.
+// inter-region gateway: a member whose aggregate random-walk step crosses a
+// region border leaves its shard, occupies the gateway's egress port, and
+// arrives at the owning region one inter-region delay later (the engine
+// lookahead) as a BoundaryEvent.
 //
 // K = 1 spawns no threads, no gateway, and no region map: it is the classic
 // run_game_experiment byte for byte (the determinism guard asserts it).
@@ -37,9 +32,6 @@ namespace dynamoth::mammoth::exp {
 struct ShardOptions {
   /// Region / shard / worker-thread count. 1 = classic single-threaded run.
   std::size_t shards = 1;
-  /// Arm the boundary-AoI relay. Off by default so --shards scaling sweeps
-  /// measure pure engine speedup on an unchanged workload.
-  bool boundary_aoi = false;
 };
 
 struct ShardedGameResult {

@@ -24,8 +24,8 @@ SimTime Network::send(NodeId from, NodeId to, std::size_t bytes, DeliverFn on_de
   DYN_CHECK(extra_delay >= 0);
   // Single-send entry point; the implementation lives inline in the header
   // (send_impl) and is shared verbatim with FanoutBatch::push.
-  return send_impl(nodes_[from], nodes_[to], from, to, bytes, std::move(on_deliver), extra_delay,
-                   min_arrival);
+  return send_impl(nodes_[from], nodes_[to], from, to, bytes, 1, std::move(on_deliver),
+                   extra_delay, min_arrival);
 }
 
 NodeKind Network::kind(NodeId node) const {
@@ -139,39 +139,6 @@ void Network::refresh_faults_active() {
       return;
     }
   }
-}
-
-std::uint32_t Network::open_bucket(DeliverFn first) {
-  // The caller repurposes the head delivery's already-scheduled event as the
-  // bucket's drain, so no event is scheduled here.
-  std::uint32_t slot;
-  if (!free_buckets_.empty()) {
-    slot = free_buckets_.back();
-    free_buckets_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.emplace_back();
-  }
-  buckets_[slot].cbs.push_back(std::move(first));
-  return slot;
-}
-
-void Network::append_bucket(std::uint32_t slot, DeliverFn cb) {
-  buckets_[slot].cbs.push_back(std::move(cb));
-  ++coalesced_deliveries_;
-}
-
-void Network::run_bucket(std::uint32_t slot) {
-  // Callbacks can publish and open new buckets (reentrancy): buckets_ may
-  // grow — and reallocate — mid-drain, so index per iteration and move each
-  // callback out before invoking it. The slot is recycled only after the
-  // last callback has run, so a reentrant open_bucket can never clobber it.
-  for (std::size_t i = 0; i < buckets_[slot].cbs.size(); ++i) {
-    DeliverFn cb = std::move(buckets_[slot].cbs[i]);
-    cb();
-  }
-  buckets_[slot].cbs.clear();
-  free_buckets_.push_back(slot);
 }
 
 std::uint64_t Network::total_infrastructure_messages() const {

@@ -109,25 +109,17 @@ class Network {
   /// Batched fan-out entry point: one FanoutBatch per publish pins the sender
   /// and carries per-destination runs of deliveries (the pub/sub layer groups
   /// a publication's recipients by destination node and issues one run per
-  /// destination; each run's messages unpack into individual delivery events
-  /// at the receiving edge). Every message in a run goes through exactly the
-  /// same egress-accounting, latency-sampling and fault logic as send() — the
-  /// two share one inlined implementation — so batching never changes a
+  /// destination). Every message in a run goes through exactly the same
+  /// egress-accounting, latency-sampling and fault logic as send() — the two
+  /// share one inlined implementation — so batching never changes a
   /// simulation's arrival times, RNG draw sequence or counters; it only
   /// eliminates the per-recipient re-validation and node lookups.
   ///
-  /// Every push schedules its delivery event immediately, exactly as
-  /// Network::send would — egress counters, the backlog and the event queue
-  /// are all exact after every push, so interleaved calls to send() (e.g. a
-  /// close notification fired mid-fan-out) observe and extend the same
-  /// state. Consecutive pushes that resolve to the same (destination,
-  /// arrival-time) coalesce into a single sim event that runs their
-  /// callbacks in push order: the first delivery's already-scheduled event
-  /// is converted in place into a bucket drain (keeping its time and
-  /// tie-break order), so the receiving edge runs one event per bucket, not
-  /// one per delivery. Deliveries that do not coalesce (distinct arrival
-  /// ticks — the common case for latency-sampled WAN paths) pay no deferral
-  /// cost at all. Do not add nodes while a batch is open.
+  /// Every push schedules its own delivery event immediately, exactly as
+  /// Network::send would, so egress counters, the backlog and the event
+  /// queue are exact after every push and interleaved calls to send() (e.g.
+  /// a close notification fired mid-fan-out) observe and extend the same
+  /// state. Do not add nodes while a batch is open.
   class FanoutBatch {
    public:
     FanoutBatch(Network& net, NodeId from) : net_(net), from_(from) {
@@ -162,31 +154,8 @@ class Network {
                           SimTime extra_delay = 0, SimTime min_arrival = 0) {
       DYN_CHECK(extra_delay >= 0);
       DYN_CHECK(weight >= 1);
-      const Routed r =
-          net_.route_impl(*src_, *dst_, from_, to_, bytes, weight, extra_delay, min_arrival);
-      if (r.dropped) return r.at;
-      if (open_ && run_to_ == to_ && run_at_ == r.at) {
-        // Same (destination, arrival-time) bucket: append instead of
-        // scheduling another event.
-        if (bucket_ == kNoBucket) {
-          // Retro-convert the head delivery's already-scheduled event into
-          // a bucket drain: its callback moves into a fresh bucket and the
-          // event slot gets the drain trampoline. Time and tie-break order
-          // are untouched.
-          DeliverFn* head = net_.sim_.pending_callback(last_event_);
-          DYN_CHECK(head != nullptr);
-          bucket_ = net_.open_bucket(std::move(*head));
-          *head = [net = &net_, slot = bucket_] { net->run_bucket(slot); };
-        }
-        net_.append_bucket(bucket_, std::move(on_deliver));
-        return r.at;
-      }
-      open_ = true;
-      run_to_ = to_;
-      run_at_ = r.at;
-      bucket_ = kNoBucket;
-      last_event_ = net_.sim_.schedule_at(r.at, std::move(on_deliver));
-      return r.at;
+      return net_.send_impl(*src_, *dst_, from_, to_, bytes, weight, std::move(on_deliver),
+                            extra_delay, min_arrival);
     }
 
     /// Per-destination run grouping: switches the run's destination only
@@ -215,20 +184,11 @@ class Network {
     }
 
    private:
-    static constexpr std::uint32_t kNoBucket = 0xFFFF'FFFF;
-
     Network& net_;
     Node* src_ = nullptr;
     Node* dst_ = nullptr;
     NodeId from_;
     NodeId to_ = kInvalidNode;
-
-    // Open (destination, arrival-time) bucket state.
-    bool open_ = false;
-    NodeId run_to_ = kInvalidNode;
-    SimTime run_at_ = 0;
-    std::uint32_t bucket_ = kNoBucket;   // Network bucket slot once coalesced
-    sim::EventId last_event_;            // the head delivery's scheduled event
   };
 
   [[nodiscard]] NodeKind kind(NodeId node) const;
@@ -284,11 +244,8 @@ class Network {
   /// to both its outgoing and incoming messages). 0 clears.
   void set_fault_extra_latency(NodeId node, SimTime extra);
 
-  /// Counts deliveries that rode an already-scheduled bucket event instead
-  /// of inserting their own (satellite: batch the receiving edge). A run
-  /// with zero coalescing schedules exactly the events the pre-bucket code
-  /// did.
-  [[nodiscard]] std::uint64_t coalesced_deliveries() const { return coalesced_deliveries_; }
+  /// Always 0; kept only for perfbench's net.coalesced_frac, dropped with it.
+  [[nodiscard]] std::uint64_t coalesced_deliveries() const { return 0; }
 
  private:
   /// Result of routing one (possibly weighted) message: where it lands on
@@ -302,9 +259,9 @@ class Network {
   /// The accounting half of every send: send() and FanoutBatch both land
   /// here, so batched and unbatched deliveries are identical by construction
   /// — same egress arithmetic, same RNG draw sequence, same counters and
-  /// traces. The caller schedules (or buckets) the delivery event at the
-  /// returned time. Inline so the per-recipient batch path compiles to
-  /// straight-line code with the src/dst node pointers already pinned.
+  /// traces. send_impl schedules the delivery event at the returned time.
+  /// Inline so the per-recipient batch path compiles to straight-line code
+  /// with the src/dst node pointers already pinned.
   ///
   /// `weight` scales one wire run to stand in for N identical messages:
   /// egress occupancy, bytes and message counters all multiply by N, while
@@ -370,25 +327,15 @@ class Network {
     return {std::max(arrival + extra_delay, min_arrival), false};
   }
 
-  /// Unbatched send: route, then schedule the single delivery event.
+  /// Route, then schedule the delivery event unless a fault dropped it.
+  /// Network::send and every FanoutBatch push run exactly this.
   SimTime send_impl(Node& src, Node& dst, NodeId from, NodeId to, std::size_t bytes,
-                    DeliverFn on_deliver, SimTime extra_delay, SimTime min_arrival) {
-    const Routed r = route_impl(src, dst, from, to, bytes, 1, extra_delay, min_arrival);
+                    std::uint32_t weight, DeliverFn&& on_deliver, SimTime extra_delay,
+                    SimTime min_arrival) {
+    const Routed r = route_impl(src, dst, from, to, bytes, weight, extra_delay, min_arrival);
     if (!r.dropped) sim_.schedule_at(r.at, std::move(on_deliver));
     return r.at;
   }
-
-  // ---- coalesced-delivery buckets (FanoutBatch receiving edge) ---------
-  //
-  // When consecutive deliveries in a batch resolve to the same
-  // (destination, arrival-time), the batch opens a bucket here and appends
-  // callbacks; ONE sim event drains the bucket in push order. Slots and
-  // their callback vectors are recycled, so steady-state coalescing
-  // allocates nothing once the slab has warmed up.
-
-  std::uint32_t open_bucket(DeliverFn first);
-  void append_bucket(std::uint32_t slot, DeliverFn cb);
-  void run_bucket(std::uint32_t slot);
 
   struct Node {
     NodeConfig config;
@@ -415,17 +362,10 @@ class Network {
   /// Binary search in the sorted-by-key flat vector (fault path only).
   [[nodiscard]] std::vector<LinkLoss>::const_iterator find_link_loss(std::uint64_t key) const;
 
-  struct Bucket {
-    std::vector<DeliverFn> cbs;
-  };
-
   sim::Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   Rng rng_;
   std::vector<Node> nodes_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
-  std::uint64_t coalesced_deliveries_ = 0;
   bool faults_active_ = false;
   /// Sorted by key: cache-dense binary-search lookup on the fault path and
   /// deterministic order, without std::map's per-link node allocations.

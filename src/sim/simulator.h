@@ -99,19 +99,6 @@ class Simulator {
     return true;
   }
 
-  /// Mutable access to a pending event's callback, or nullptr if the handle
-  /// is dead (fired, cancelled, or slot reused). The event's time and
-  /// tie-break order are untouched — callers may move the callback out and
-  /// install a replacement in place (the fan-out batch uses this to convert
-  /// an already-scheduled delivery into a coalesced-bucket drain without
-  /// re-scheduling).
-  [[nodiscard]] Callback* pending_callback(const EventId& id) {
-    if (id.slot >= slot_count_) return nullptr;
-    Slot& s = slot(id.slot);
-    if (s.generation != id.generation) return nullptr;
-    return &s.cb;
-  }
-
   /// Time of the earliest pending event, or kNoNextEvent when the queue is
   /// empty. Cancelled entries at the root are discarded first, so the answer
   /// is exact. The block-parallel engine's epoch fast-forward reduces this

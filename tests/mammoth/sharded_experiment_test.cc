@@ -1,7 +1,6 @@
 // Tests for the block-parallel game-experiment driver (DESIGN.md section
 // 15): K = 1 byte-identity with the classic driver, (seed, K) determinism,
-// population partitioning, cross-region migration, and the boundary-AoI
-// relay.
+// population partitioning and cross-region migration.
 #include "mammoth/sharded_experiment.h"
 
 #include <gtest/gtest.h>
@@ -119,21 +118,6 @@ TEST(ShardedGameExperiment, MigrationCrossesRegionBoundaries) {
   // 6x6 world must push members across the band border via the gateway.
   EXPECT_GT(result.engine.boundary_events, 0u);
   EXPECT_GT(result.engine.epochs, 1u);
-}
-
-TEST(ShardedGameExperiment, BoundaryAoiRelayAddsRemoteDeliveries) {
-  const GameExperimentConfig config = cohort_config();
-  ShardOptions off;
-  off.shards = 2;
-  ShardOptions on = off;
-  on.boundary_aoi = true;
-  const ShardedGameResult without = run_sharded_game_experiment(config, off);
-  const ShardedGameResult with = run_sharded_game_experiment(config, on);
-  // Relayed publications expand into per-member delivery-latency entries on
-  // the far side of the border; everything else about the workload is
-  // unchanged, so the delta is exactly the relay's contribution.
-  EXPECT_GT(with.merged.delivery_latency_us.count(), without.merged.delivery_latency_us.count());
-  EXPECT_GT(with.engine.boundary_events, without.engine.boundary_events);
 }
 
 TEST(BandShardAssigner, CoversEveryRegionAndBalancesWeight) {

@@ -204,6 +204,34 @@ TEST(Network, OccupyEgressWeightedMatchesSendArithmeticAndDrawsNoRng) {
   EXPECT_EQ(Rng::total_draws(), draws_before);
 }
 
+TEST(Network, FanoutBatchSameArrivalDeliversInIssueOrder) {
+  // Egress fast enough that transmit time rounds to zero: every message
+  // below lands on the same (destination, arrival-time) pair. Each batch
+  // push still schedules its own event, so a send() issued mid-batch runs
+  // in issue order rather than after the whole batch.
+  NetFixture f;
+  const NodeId src = f.add_server(1e15);
+  const NodeId dst = f.add_client(1e15);
+  constexpr int kPushes = 5;
+  std::vector<int> order;
+  const std::uint64_t executed_before = f.sim.executed_events();
+  SimTime first_at = -1;
+  {
+    Network::FanoutBatch batch(f.network, src);
+    for (int i = 0; i < kPushes; ++i) {
+      const SimTime at = batch.send(dst, 128, [&order, i] { order.push_back(i); });
+      if (i == 0) {
+        first_at = at;
+        EXPECT_EQ(f.network.send(src, dst, 128, [&order] { order.push_back(-1); }), at);
+      }
+      EXPECT_EQ(at, first_at);
+    }
+  }
+  f.sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2, 3, 4}));
+  EXPECT_EQ(f.sim.executed_events() - executed_before, std::uint64_t{kPushes} + 1);
+}
+
 TEST(Network, MeasuredRateMatchesOfferedLoadBelowSaturation) {
   NetFixture f;
   const NodeId s = f.add_server(1e6);

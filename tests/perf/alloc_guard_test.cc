@@ -508,40 +508,6 @@ TEST(AllocGuard, SteadyStatePatternDeliveryIsAllocationFree) {
   }
 }
 
-TEST(AllocGuard, BucketedSameArrivalDeliveryIsAllocationFree) {
-  // The batch receiving edge: pushes in a FanoutBatch that share a
-  // (destination, arrival-time) pair coalesce into one recycled bucket event
-  // instead of one heap event each. After the bucket slab and callback
-  // vectors are warm, a full fan-out -> bucket -> run cycle is allocation
-  // free.
-  sim::Simulator sim;
-  net::Network network(sim, std::make_unique<net::FixedLatencyModel>(millis(5), millis(1)),
-                       Rng(3));
-  const NodeId src = network.add_node({net::NodeKind::kInfrastructure, 1e15});
-  const NodeId dst = network.add_node({net::NodeKind::kClient, 1e15});
-
-  std::uint64_t got = 0;
-  constexpr int kFan = 64;
-  auto fanout_cycle = [&] {
-    {
-      net::Network::FanoutBatch batch(network, src);
-      for (int i = 0; i < kFan; ++i) batch.send(dst, 128, [&got] { ++got; });
-    }
-    sim.run();
-  };
-
-  for (int i = 0; i < 3; ++i) fanout_cycle();  // warm slab + bucket vectors
-  const std::uint64_t delivered_before = got;
-
-  const std::uint64_t allocs_before = g_new_calls;
-  for (int i = 0; i < 2; ++i) fanout_cycle();
-  const std::uint64_t allocs = g_new_calls - allocs_before;
-
-  EXPECT_EQ(allocs, 0u) << "bucketed delivery allocated " << allocs << " times over "
-                        << 2 * kFan << " same-arrival sends";
-  EXPECT_EQ(got - delivered_before, 2u * kFan);
-}
-
 TEST(AllocGuard, SeenIdsSteadyStateInsertsAreAllocationFree) {
   // The client-side duplicate filter runs insert() once per received
   // publication. Once every origin is known, in-order arrivals and

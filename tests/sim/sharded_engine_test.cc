@@ -197,6 +197,45 @@ TEST(ShardedEngine, EpochFastForwardSkipsIdleGaps) {
   EXPECT_LE(eng.stats().epochs, 50u);
 }
 
+TEST(ShardedEngine, CancelIssuedEpochsEarlierSuppressesTheTarget) {
+  // Target at 50 ms, cancelled at 20 ms, with cross-shard chatter every
+  // 4 ms forcing many epochs in between: the epoch loop's run_until chunking
+  // and next_event_time peeks must keep the handle valid, the target must
+  // never run, and two identical runs agree event-for-event.
+  struct CancellingShard : TestShard {
+    using TestShard::TestShard;
+    EventId target{};
+    int target_fired = 0;
+  };
+  auto run = [] {
+    ShardedEngine eng({.shards = 2, .lookahead = millis(1)});
+    eng.build([&eng](std::size_t id) {
+      auto shard = std::make_unique<CancellingShard>(id);
+      CancellingShard* raw = shard.get();
+      raw->target = raw->sim_.schedule_at(millis(50), [raw] { ++raw->target_fired; });
+      raw->sim_.schedule_at(millis(20), [raw] { EXPECT_TRUE(raw->sim_.cancel(raw->target)); });
+      for (int k = 0; k < 10; ++k) {
+        raw->sim_.schedule_at(millis(4 * k), [&eng, raw] {
+          eng.post(raw->id_, 1 - raw->id_, BoundaryEvent{.at = raw->sim_.now() + millis(1)});
+        });
+      }
+      return shard;
+    });
+    eng.run_until(millis(60));
+    EXPECT_GT(eng.stats().epochs, 5u);
+    std::vector<std::uint64_t> executed;
+    for (std::size_t i = 0; i < 2; ++i) {
+      auto& s = static_cast<CancellingShard&>(eng.shard(i));
+      EXPECT_EQ(s.target_fired, 0) << "shard " << i;
+      EXPECT_EQ(s.log_.size(), 10u) << "shard " << i;
+      EXPECT_FALSE(s.sim_.cancel(s.target));
+      executed.push_back(s.sim_.executed_events());
+    }
+    return executed;
+  };
+  EXPECT_EQ(run(), run());
+}
+
 // Workload used by the determinism tests: every shard runs a seeded random
 // mix of local events and cross-posts, then the full logs are compared.
 std::vector<std::vector<TestShard::Row>> run_random_workload(std::size_t shards,

@@ -61,6 +61,46 @@ TEST(Simulator, CancelAfterFireReturnsFalse) {
   EXPECT_FALSE(sim.cancel(id));
 }
 
+TEST(Simulator, StaleHandleNeverTouchesTheSlotsNextOccupant) {
+  // Cancelling frees the slot and the next schedule reuses it with a bumped
+  // generation: the stale handle must neither cancel nor disturb the new
+  // occupant.
+  Simulator sim;
+  int stale_fired = 0;
+  int fresh_fired = 0;
+  const EventId stale = sim.schedule_at(millis(1), [&] { ++stale_fired; });
+  ASSERT_TRUE(sim.cancel(stale));
+
+  const EventId fresh = sim.schedule_at(millis(2), [&] { ++fresh_fired; });
+  ASSERT_EQ(fresh.slot, stale.slot);
+  ASSERT_NE(fresh.generation, stale.generation);
+  EXPECT_FALSE(sim.cancel(stale));
+
+  sim.run();
+  EXPECT_EQ(stale_fired, 0);
+  EXPECT_EQ(fresh_fired, 1);
+  EXPECT_FALSE(sim.cancel(fresh));  // dead after firing too
+}
+
+TEST(Simulator, NextEventTimeSkipsCancelledRootAndKeepsLiveHandles) {
+  // next_event_time() (the sharded engine's epoch reduction hook) discards
+  // cancelled roots; a later live event stays valid and fires.
+  Simulator sim;
+  int fired = 0;
+  const EventId cancelled = sim.schedule_at(millis(1), [&] { fired = -100; });
+  const EventId kept = sim.schedule_at(millis(2), [&] { ++fired; });
+  ASSERT_TRUE(sim.cancel(cancelled));
+
+  EXPECT_EQ(sim.next_event_time(), millis(2));
+  EXPECT_EQ(sim.next_event_time(), millis(2));  // the peek is idempotent
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.cancel(kept));
+  EXPECT_EQ(sim.next_event_time(), kNoNextEvent);
+}
+
 TEST(Simulator, RunUntilAdvancesClockExactly) {
   Simulator sim;
   int fired = 0;
