@@ -622,7 +622,7 @@ void BM_ParallelBoundaryRelay(benchmark::State& state) {
     std::size_t id = 0;
     sim::PeriodicTask task{sim, millis(5), [this] {
                              engine->post(id, (id + 1) % 2,
-                                          {sim.now() + millis(5), 1, 0, 0, 0, 0.0});
+                                          {sim.now() + millis(5), 1, 0, 0});
                            }};
     sim::Simulator& simulator() override { return sim; }
     void on_boundary(std::size_t, const sim::BoundaryEvent& ev) override {

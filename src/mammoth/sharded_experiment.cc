@@ -66,8 +66,8 @@ class GameShard : public sim::Shard {
     const SimTime depart =
         run_.cluster().network().occupy_egress(gateway_, kMigrationMsgBytes, count);
     engine_->post(region_, (*tile_owner_)[tile],
-                  {depart + kInterRegionDelay, kMigration,
-                   static_cast<std::uint32_t>(tile), count, 0, 0.0});
+                  {depart + kInterRegionDelay, kMigration, static_cast<std::uint32_t>(tile),
+                   count});
   }
 
   GameExperimentRun run_;

@@ -29,8 +29,6 @@ struct BoundaryEvent {
   std::uint32_t type = 0;  // application-defined discriminator
   std::uint32_t a = 0;     // application-defined (e.g. tile index)
   std::uint64_t b = 0;     // application-defined (e.g. member count)
-  std::uint64_t c = 0;     // application-defined (e.g. payload bytes)
-  double d = 0.0;          // application-defined (e.g. fractional credit)
 };
 
 /// Per-(src,dst) mailbox. Appended by src during run phases, drained in FIFO
