@@ -3,6 +3,7 @@
 // dedup, histogram recording, glob matching and raw simulator throughput.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -189,6 +190,40 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+// A steady 16 k pending events, each rescheduling itself on firing with a
+// seeded delay of 0-800 ms; one draw in four is rounded up to a 10 ms tick,
+// so same-time bursts of ~50 events form. Unlike BM_SimulatorThroughput,
+// whose ascending times make every push land at the back of the queue, the
+// pushes here spread over the whole pending range, as in the workloads.
+struct SpreadHop {
+  sim::Simulator* sim;
+  std::uint64_t* x;
+  void operator()() const { sim->schedule_after(delay(*x, sim->now()), *this); }
+  static SimTime delay(std::uint64_t& x, SimTime now) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    SimTime d = static_cast<SimTime>(x % 800'001);
+    if ((x >> 40) % 4 == 0) d += (10'000 - (now + d) % 10'000) % 10'000;
+    return d;
+  }
+};
+
+void BM_SimulatorSpreadDelays(benchmark::State& state) {
+  constexpr int kPending = 16'384;
+  constexpr int kFiresPerIteration = 10'000;
+  sim::Simulator sim;
+  std::uint64_t x = 0x2545F4914F6CDD1Dull;
+  for (int i = 0; i < kPending; ++i) sim.schedule_after(SpreadHop::delay(x, 0), SpreadHop{&sim, &x});
+  for (int i = 0; i < 4 * kPending; ++i) sim.step();  // warm to the steady state
+  for (auto _ : state) {
+    for (int i = 0; i < kFiresPerIteration; ++i) sim.step();
+  }
+  benchmark::DoNotOptimize(sim.now());
+  state.SetItemsProcessed(state.iterations() * kFiresPerIteration);
+}
+BENCHMARK(BM_SimulatorSpreadDelays);
 
 void BM_SimulatorCancel(benchmark::State& state) {
   // Timers armed and cancelled before firing: the PeriodicTask / timeout

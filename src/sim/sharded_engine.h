@@ -2,7 +2,7 @@
 //
 // ROADMAP item 2(b), DESIGN.md section 15. The single-threaded engine in
 // simulator.h stays exactly as it is; this layer runs K of them — one per
-// *shard*, each on its own thread with its own event heap, slab, envelope
+// *shard*, each on its own thread with its own event queue, slab, envelope
 // pool, channel table and RNG streams — and synchronizes them with the
 // classic conservative-PDES epoch scheme:
 //
@@ -22,8 +22,8 @@
 // Determinism: for a fixed (seed, K) the run is bit-reproducible. Within a
 // shard the single-threaded engine is already deterministic; across shards,
 // every mailbox is drained in ascending source-shard order and FIFO within
-// a source, so merged events acquire heap sequence numbers in an order that
-// does not depend on thread scheduling. K = 1 short-circuits the epoch
+// a source, so merged events are scheduled (and so ordered among equal
+// times) in an order that does not depend on thread scheduling. K = 1 short-circuits the epoch
 // machinery entirely — no threads are spawned, the factory and every
 // callback run on the caller's thread (sharing its thread-local pools), and
 // the single run_until is byte-identical to the unsharded engine.

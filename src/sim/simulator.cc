@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -20,54 +21,73 @@ void Simulator::grow_slab() {
   slab_.push_back(std::make_unique<Slot[]>(kSlabBlockSize));
 }
 
-void Simulator::heap_pop_root() {
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
-  const std::size_t end_all = heap_.size();
-  if (end_all == kHeapBase) return;
-  // Bottom-up (Wegener) deletion: percolate the hole straight down along
-  // min-children without comparing against `last` — the back element nearly
-  // always belongs near the leaves, so the per-level "done yet?" test of the
-  // classic sift-down rarely pays for itself — then bubble `last` up from
-  // the leaf hole the short remaining distance. Full sibling groups use a
-  // branchless tournament (two independent compares feeding a third).
-  std::size_t i = kHeapBase;
-  std::size_t first = heap_child(i);
-  while (first + 4 <= end_all) {
-    const HeapItem* c = &heap_[first];
-    const std::size_t m1 = first + (c[0].later_than(c[1]) ? 1 : 0);
-    const std::size_t m2 = first + 2 + (c[2].later_than(c[3]) ? 1 : 0);
-    const std::size_t smallest = heap_[m1].later_than(heap_[m2]) ? m2 : m1;
-    heap_[i] = heap_[smallest];
-    i = smallest;
-    first = heap_child(i);
-  }
-  if (first < end_all) {
-    std::size_t smallest = first;
-    for (std::size_t c = first + 1; c < end_all; ++c) {
-      if (heap_[smallest].later_than(heap_[c])) smallest = c;
-    }
-    heap_[i] = heap_[smallest];
-    i = smallest;
-  }
-  while (i > kHeapBase) {
-    const std::size_t parent = heap_parent(i);
-    if (!heap_[parent].later_than(last)) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = last;
+Simulator::Chunk* Simulator::new_chunk() {
+  chunks_.push_back(std::make_unique<Chunk>());
+  return chunks_.back().get();
 }
 
-void Simulator::drop_dead_roots() {
-  while (!heap_empty() && slot(heap_root().slot).generation != heap_root().generation) {
-    heap_pop_root();
+bool Simulator::refill() {
+  front_.clear();
+  front_head_ = 0;
+  int w = 0;
+  while (bucket_mask_[w] == 0) {
+    if (++w == kBuckets / 64) return false;
+  }
+  const int b = w * 64 + std::countr_zero(bucket_mask_[w]);
+  bucket_mask_[w] &= bucket_mask_[w] - 1;
+  const Bucket src = buckets_[b];
+  base_ = src.min;
+  // One in-order pass: every entry lands at the front (time == base_) or in
+  // a bucket below b, all of which are empty, so scheduling order carries
+  // over. Each chunk returns to the free list as soon as it is read.
+  for (Chunk* c = src.head; c != nullptr;) {
+    const std::uint32_t n = c == src.tail ? src.tail_size : kChunkItems;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const QueueItem& item = c->items[i];
+      if (item.time == base_) {
+        front_.push_back(item);
+      } else {
+        bucket_push(item);
+      }
+    }
+    Chunk* next = c->next;
+    c->next = free_chunks_;
+    free_chunks_ = c;
+    c = next;
+  }
+  return true;
+}
+
+void Simulator::compact_front() {
+  front_.erase(front_.begin(), front_.begin() + static_cast<std::ptrdiff_t>(front_head_));
+  front_head_ = 0;
+}
+
+void Simulator::insert_below_base(const QueueItem& item) {
+  if (front_head_ == front_.size() &&
+      std::all_of(std::begin(bucket_mask_), std::end(bucket_mask_), [](std::uint64_t w) { return w == 0; })) {
+    // Nothing is pending: the base may simply move down to the new entry.
+    base_ = item.time;
+    front_push_back(item);
+    return;
+  }
+  // The entry is the newest, so it goes after every entry of time <= its
+  // own. The gap opens towards the consumed prefix when there is one: the
+  // insertion point sits near the head, ahead of the base's entries.
+  const auto first = front_.begin() + static_cast<std::ptrdiff_t>(front_head_);
+  const auto pos = std::upper_bound(first, front_.end(), item.time,
+                                    [](SimTime t, const QueueItem& q) { return t < q.time; });
+  if (front_head_ > 0) {
+    std::move(first, pos, first - 1);
+    --front_head_;
+    *(pos - 1) = item;
+  } else {
+    front_.insert(pos, item);
   }
 }
 
 void Simulator::fire_root() {
-  const HeapItem item = heap_root();
-  heap_pop_root();
+  const QueueItem item = front_[front_head_++];
   now_ = item.time;
   ++executed_;
   --live_;
@@ -90,47 +110,20 @@ void Simulator::fire_root() {
 }
 
 bool Simulator::step() {
-  drop_dead_roots();
-  if (heap_empty()) return false;
+  if (!settle_root()) return false;
   fire_root();
   return true;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!stopped_ && !heap_empty()) {
-    const HeapItem item = heap_root();
-    Slot& s = slot(item.slot);
-    if (s.generation != item.generation) {  // cancelled: discard lazily
-      heap_pop_root();
-      continue;
-    }
-    heap_pop_root();
-    now_ = item.time;
-    ++executed_;
-    --live_;
-    if constexpr (obs::kTraceHotCompiled) {
-      if ((executed_ & kEngineSampleMask) == 0) {
-        DYN_TRACE_HOT(counter(now_, kInvalidNode, "sim", "pending_events",
-                              static_cast<double>(live_)));
-      }
-    }
-    ++s.generation;  // a cancel of the now-firing event must report false
-    s.cb();
-    s.cb = nullptr;
-    s.next_free = free_head_;
-    free_head_ = item.slot;
-  }
+  while (!stopped_ && settle_root()) fire_root();
 }
 
 void Simulator::run_until(SimTime t) {
   DYN_CHECK(t >= now_);
   stopped_ = false;
-  while (!stopped_) {
-    drop_dead_roots();
-    if (heap_empty() || heap_root().time > t) break;
-    fire_root();
-  }
+  while (!stopped_ && settle_root() && front_[front_head_].time <= t) fire_root();
   if (!stopped_ && now_ < t) now_ = t;
 }
 

@@ -14,15 +14,20 @@
 //    slots chained through a free list. Blocks are never moved, so growing
 //    the slab relocates nothing and slot addresses are stable — callbacks
 //    are invoked in place, not moved out first.
-//  - The priority queue is a 4-ary heap of 24-byte POD entries
-//    (time, seq, slot, generation): half the depth of a binary heap, hole
-//    percolation instead of swaps, and sifts never touch callables.
+//  - The ready queue is a monotone radix queue (a radix heap, Ahuja,
+//    Mehlhorn, Orlin, Tarjan 1990, with 16-way digits) of 24-byte POD
+//    entries (time, slot, generation, spare). Every schedule has time >=
+//    now(), so keys only grow past the last pop; an entry waits in the
+//    bucket named by the highest hex digit in which its time differs from
+//    the queue's base time, and moves to a lower bucket only when the base
+//    catches up with it. Push is O(1); each entry moves at most once per
+//    hex digit of its distance. See the "Ready queue" block below for the
+//    same-time FIFO argument.
 //  - Cancellation is O(1) and hash-free: bump the slot's generation; the pop
-//    loop discards heap entries whose stamped generation no longer matches.
-//    (The previous engine kept an unordered_set of live event ids, costing a
-//    node allocation plus two hashed operations per event.)
+//    loop discards queue entries whose stamped generation no longer matches.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -57,7 +62,7 @@ class Simulator {
  public:
   using Callback = SmallFunction<void(), 48>;
 
-  Simulator() { heap_.resize(kHeapBase); }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -73,7 +78,7 @@ class Simulator {
     DYN_CHECK(cb != nullptr);
     const std::uint32_t s = acquire_slot(std::move(cb));
     const std::uint32_t generation = slot(s).generation;
-    heap_push(HeapItem{t, next_seq_++, s, generation});
+    queue_push(QueueItem{t, s, generation});
     ++live_;
     return EventId{s, generation};
   }
@@ -85,14 +90,14 @@ class Simulator {
   }
 
   /// Cancels a pending event. Returns true if it was pending (not yet fired
-  /// or previously cancelled). O(1): bumps the slot generation; the heap
-  /// entry is discarded lazily when it reaches the root.
+  /// or previously cancelled). O(1): bumps the slot generation; the queue
+  /// entry is discarded lazily when it reaches the front.
   bool cancel(const EventId& id) {
     if (id.slot >= slot_count_) return false;
     Slot& s = slot(id.slot);
     if (s.generation != id.generation) return false;
     s.cb = nullptr;
-    ++s.generation;  // kills the heap entry; discarded lazily at the root
+    ++s.generation;  // kills the queue entry; discarded lazily at the front
     s.next_free = free_head_;
     free_head_ = id.slot;
     --live_;
@@ -104,8 +109,7 @@ class Simulator {
   /// is exact. The block-parallel engine's epoch fast-forward reduces this
   /// across shards to bound each lockstep epoch (DESIGN.md section 15).
   [[nodiscard]] SimTime next_event_time() {
-    drop_dead_roots();
-    return heap_empty() ? kNoNextEvent : heap_root().time;
+    return settle_root() ? front_[front_head_].time : kNoNextEvent;
   }
 
   /// Runs a single event. Returns false if the queue is empty.
@@ -129,7 +133,7 @@ class Simulator {
  private:
   /// Slab slot holding one scheduled callback. The generation distinguishes
   /// successive occupants of the same slot; it is bumped on every release
-  /// (fire or cancel), so outstanding EventIds and heap entries stamped with
+  /// (fire or cancel), so outstanding EventIds and queue entries stamped with
   /// an older generation are dead. (Generations are 32-bit; a stale handle
   /// would only false-match after 2^32 reuses of one slot while it is held,
   /// which no caller pattern approaches.)
@@ -143,33 +147,18 @@ class Simulator {
   };
   static_assert(sizeof(Slot) == 64);
 
-  /// Min-heap entry: plain data, cheap to sift. Padded to 32 bytes so a
-  /// 4-child sibling group spans exactly 128 bytes (two cache lines) instead
-  /// of straddling three.
-  struct HeapItem {
+  /// Ready-queue entry: plain data, cheap to move between buckets. There is
+  /// no sequence number: every container below keeps its entries in
+  /// scheduling order, which is all that same-time FIFO needs. The spare
+  /// bytes leave room for a per-event tag (such as an event category byte)
+  /// without growing the entry.
+  struct QueueItem {
     SimTime time;
-    std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t generation;
-    std::uint64_t pad = 0;
-
-    // Min-heap on (time, seq): strict FIFO among same-time events. Written
-    // with bitwise ops so the data-dependent comparisons in heap sifts
-    // compile to flag arithmetic + cmov instead of unpredictable branches.
-    bool later_than(const HeapItem& other) const {
-      return bool(time > other.time) | (bool(time == other.time) & bool(seq > other.seq));
-    }
+    std::uint64_t spare = 0;
   };
-  static_assert(sizeof(HeapItem) == 32);
-
-  // 4-ary heap layout: logical node k lives at physical index k + 3, i.e.
-  // the root is at kHeapBase = 3 and the children of physical node i are
-  // {4i-8 .. 4i-5}. The +3 shift makes every sibling group start at an index
-  // divisible by 4, so a group of four 32-byte items spans exactly two cache
-  // lines instead of straddling three. Indices 0..2 are unused padding.
-  static constexpr std::size_t kHeapBase = 3;
-  static constexpr std::size_t heap_child(std::size_t i) { return 4 * i - 8; }
-  static constexpr std::size_t heap_parent(std::size_t i) { return ((i - 4) >> 2) + 3; }
+  static_assert(sizeof(QueueItem) == 24);
 
   // Slab blocks hold 4096 slots each; block addresses are stable for the
   // simulator's lifetime.
@@ -195,38 +184,138 @@ class Simulator {
     return s;
   }
 
-  void heap_push(HeapItem item) {
-    std::size_t i = heap_.size();
-    heap_.push_back(item);
-    // Hole percolation: shift later parents down, write the item once.
-    while (i > kHeapBase) {
-      const std::size_t parent = heap_parent(i);
-      if (!heap_[parent].later_than(item)) break;
-      heap_[i] = heap_[parent];
-      i = parent;
+  // ---- Ready queue ----
+  //
+  // Entries with time <= base_ sit in the front run, front_[front_head_..],
+  // sorted by (time, scheduling order); the head is the next event. Entries
+  // with time > base_ sit in buckets keyed by (level, digit): the highest
+  // 4-bit digit in which the time differs from base_, and the time's value
+  // in that digit (see bucket_of). Each bucket is an append-only FIFO list
+  // of chunks. When the front run empties, refill() takes the lowest
+  // non-empty bucket, raises base_ to its minimum time and redistributes its
+  // entries: those at the new base go to the front run, the rest to lower
+  // buckets, which were empty. Same-time FIFO follows by
+  // induction: a bucket receives entries either as fresh schedules (the
+  // newest so far) or as an in-order pass over one older bucket while it is
+  // empty, so every bucket and the refilled front run stay in scheduling
+  // order without a sequence number or a sort.
+  //
+  // A peek (next_event_time, the stop test of run_until) refills without
+  // firing, so base_ can run ahead of now(). A schedule at now() <= t <
+  // base_ is then legal and must fire before the base's entries: it is
+  // inserted into the front run after every entry of time <= t (it is the
+  // newest, so it goes last among equal times).
+  //
+  // Bucket storage is bounded by the queued entries plus one partly filled
+  // chunk per bucket: chunks come from one free list shared by all buckets
+  // and are recycled as soon as a refill has read them. The front run is a
+  // single vector whose capacity is the largest front run so far. Nothing is
+  // reserved up front: a fresh Simulator allocates on its first schedules.
+  static constexpr std::uint32_t kChunkItems = 42;  // a chunk is ~1 KiB
+  static constexpr int kDigitBits = 4;
+  static constexpr int kDigits = 1 << kDigitBits;
+  static constexpr int kBuckets = 64 / kDigitBits * kDigits;
+
+  struct Chunk {
+    Chunk* next = nullptr;
+    QueueItem items[kChunkItems];
+  };
+  struct Bucket {
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    std::uint32_t tail_size = 0;  // entries in the tail chunk
+    SimTime min = 0;              // earliest time in the bucket
+  };
+
+  void queue_push(const QueueItem& item) {
+    if (item.time > base_) {
+      bucket_push(item);
+    } else if (item.time == base_) {
+      front_push_back(item);
+    } else {
+      insert_below_base(item);
     }
-    heap_[i] = item;
   }
 
-  [[nodiscard]] bool heap_empty() const { return heap_.size() == kHeapBase; }
-  [[nodiscard]] const HeapItem& heap_root() const { return heap_[kHeapBase]; }
+  /// Bucket of an entry with time > base_: level = the highest 4-bit digit
+  /// in which its time differs from base_, then that digit's value. Bucket
+  /// indices grow with (level, digit), so the lowest non-empty bucket holds
+  /// the earliest entries.
+  [[nodiscard]] int bucket_of(SimTime t) const {
+    const int level = (std::bit_width(static_cast<std::uint64_t>(t ^ base_)) - 1) / kDigitBits;
+    const int digit = static_cast<int>(static_cast<std::uint64_t>(t) >> (level * kDigitBits)) & (kDigits - 1);
+    return level * kDigits + digit;
+  }
+
+  void bucket_push(const QueueItem& item) {
+    const int b = bucket_of(item.time);
+    Bucket& k = buckets_[b];
+    std::uint64_t& word = bucket_mask_[b / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      k.head = k.tail = take_chunk();
+      k.tail_size = 0;
+      k.min = item.time;
+    } else {
+      if (item.time < k.min) k.min = item.time;
+      if (k.tail_size == kChunkItems) {
+        Chunk* c = take_chunk();
+        k.tail->next = c;
+        k.tail = c;
+        k.tail_size = 0;
+      }
+    }
+    k.tail->items[k.tail_size++] = item;
+  }
+
+  void front_push_back(const QueueItem& item) {
+    if (front_.size() == front_.capacity() && front_head_ > 0) compact_front();
+    front_.push_back(item);
+  }
+
+  Chunk* take_chunk() {
+    Chunk* c = free_chunks_;
+    if (c == nullptr) return new_chunk();
+    free_chunks_ = c->next;
+    c->next = nullptr;
+    return c;
+  }
+
+  /// Makes the next event the front run's head, discarding cancelled
+  /// entries on the way. Returns false when no event is pending.
+  bool settle_root() {
+    for (;;) {
+      if (front_head_ == front_.size() && !refill()) return false;
+      const QueueItem& root = front_[front_head_];
+      if (slot(root.slot).generation == root.generation) return true;
+      ++front_head_;  // cancelled: discard lazily
+    }
+  }
 
   void grow_slab();  // cold path: appends one slab block
-  /// Fires the heap root (must be live). Pops it, advances the clock, invokes
-  /// the callback in place, then frees the slot.
+  Chunk* new_chunk();  // cold path: the free list is empty
+  /// Moves the lowest bucket into the front run (which must be empty) and
+  /// lower buckets. Returns false when every bucket is empty.
+  bool refill();
+  void compact_front();
+  void insert_below_base(const QueueItem& item);
+  /// Fires the front run's head (must be live): pops it, advances the clock,
+  /// invokes the callback in place, then frees the slot.
   void fire_root();
-  void heap_pop_root();
-  /// Discards root entries whose slot generation no longer matches (fired is
-  /// impossible — firing pops — so these are cancellations).
-  void drop_dead_roots();
 
-  std::vector<HeapItem> heap_;
+  std::vector<QueueItem> front_;
+  std::size_t front_head_ = 0;  // front_[..front_head_) is consumed
+  SimTime base_ = 0;
+  std::uint64_t bucket_mask_[kBuckets / 64] = {};  // bit b: buckets_[b] non-empty
+  Bucket buckets_[kBuckets];
+  Chunk* free_chunks_ = nullptr;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // owns every chunk
   std::vector<std::unique_ptr<Slot[]>> slab_;
   std::uint32_t slot_count_ = 0;  // slab high-water mark
   std::uint32_t free_head_ = kNoEventSlot;
   std::size_t live_ = 0;  // scheduled, not yet fired/cancelled
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
 };

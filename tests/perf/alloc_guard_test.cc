@@ -12,6 +12,7 @@
 //
 // Keep this file in its own test binary: the operator new replacement is
 // process-global and should not leak into unrelated suites.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -506,6 +507,41 @@ TEST(AllocGuard, SteadyStatePatternDeliveryIsAllocationFree) {
   for (core::DynamothClient* sub : subs) {
     EXPECT_GT(sub->stats().pattern_deliveries, 0u);
   }
+}
+
+TEST(AllocGuard, EventQueueSpreadDelaysSteadyStateIsAllocationFree) {
+  // A steady population of self-rescheduling events whose delays are drawn
+  // log-uniformly from 1 us to 10 s, so their times differ from the ready
+  // queue's base in every bit from 0 to 23: about 33 radix buckets hold
+  // entries at once (up to 64), 90+ over the measured stretch. Once the
+  // shared chunk free list and the front run have reached their high-water
+  // marks, scheduling, refilling and firing must not touch the allocator,
+  // however the entries spread over the buckets.
+  constexpr int kPending = 1 << 15;
+  sim::Simulator sim;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  struct Hop {
+    sim::Simulator* sim;
+    std::uint64_t* x;
+    void operator()() const { sim->schedule_after(next_delay(*x), *this); }
+    static SimTime next_delay(std::uint64_t& x) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const std::uint64_t bits = x % 24;  // delay in [2^bits, 2^(bits+1)) us
+      const std::uint64_t d = (std::uint64_t{1} << bits) + (x >> 32) % (std::uint64_t{1} << bits);
+      return std::min<SimTime>(static_cast<SimTime>(d), seconds(10));
+    }
+  };
+  for (int i = 0; i < kPending; ++i) sim.schedule_after(Hop::next_delay(x), Hop{&sim, &x});
+  sim.run_until(seconds(30));  // warm: every bucket's chunk demand has peaked
+
+  const std::uint64_t allocs_before = g_new_calls;
+  const std::uint64_t fired_before = sim.executed_events();
+  sim.run_until(seconds(45));
+  EXPECT_EQ(g_new_calls - allocs_before, 0u);
+  EXPECT_GT(sim.executed_events() - fired_before, 200'000u);
+  EXPECT_EQ(sim.pending_events(), static_cast<std::size_t>(kPending));
 }
 
 TEST(AllocGuard, SeenIdsSteadyStateInsertsAreAllocationFree) {
