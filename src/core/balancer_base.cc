@@ -27,18 +27,12 @@ const char* to_string(RebalanceKind kind) {
 namespace {
 /// Decision-round period: the paper's time unit t.
 constexpr SimTime kTickInterval = seconds(1);
-/// Reports averaged over this many windows when computing load ratios.
-constexpr std::size_t kLrWindow = 3;
-
-ClientId balancer_client_id(NodeId node) { return 0x3000'0000'0000'0000ull + node; }
 }  // namespace
 
-BalancerBase::BalancerBase(sim::Simulator& sim, net::Network& network,
-                           ServerRegistry& registry,
+BalancerBase::BalancerBase(sim::Simulator& sim, ServerRegistry& registry,
                            std::shared_ptr<const ConsistentHashRing> base_ring, NodeId node,
-                           Cloud* cloud, BaseConfig config)
+                           Cloud* cloud, BaseConfig config, PlanDelivery deliver)
     : sim_(sim),
-      network_(network),
       registry_(registry),
       base_ring_(std::move(base_ring)),
       node_(node),
@@ -46,9 +40,10 @@ BalancerBase::BalancerBase(sim::Simulator& sim, net::Network& network,
       base_config_(config),
       plan_(make_plan_zero()),
       detector_(config.detector),
-      client_id_(balancer_client_id(node)),
-      ticker_(sim, kTickInterval, [this] { tick(); }) {
+      ticker_(sim, kTickInterval, [this] { tick(); }),
+      plan_delivery_(std::move(deliver)) {
   DYN_CHECK(base_ring_ != nullptr);
+  DYN_CHECK(plan_delivery_ != nullptr);
 }
 
 BalancerBase::~BalancerBase() { stop(); }
@@ -71,25 +66,13 @@ void BalancerBase::attach_server(ServerId server) {
   if (servers_.contains(server)) return;
   ps::PubSubServer* srv = registry_.find(server);
   if (srv == nullptr || !srv->running()) return;
-  ServerState state;
-  state.conn = std::make_unique<ps::RemoteConnection>(
-      sim_, network_, node_, *srv,
-      [this](const ps::EnvelopePtr& env) { on_deliver(env); }, nullptr);
-  state.conn->subscribe(kLlaChannel);
-  servers_.emplace(server, std::move(state));
+  servers_.emplace(server, ServerState{});
   if (base_config_.detect_failures) detector_.watch(server, sim_.now());
 }
 
 void BalancerBase::detach_server(ServerId server) {
   servers_.erase(server);
   detector_.forget(server);
-}
-
-void BalancerBase::on_deliver(const ps::EnvelopePtr& env) {
-  if (env->kind != ps::MsgKind::kLlaReport) return;
-  const auto* body = dynamic_cast<const LlaReportBody*>(env->body.get());
-  if (body == nullptr) return;
-  ingest_report(body->report);
 }
 
 void BalancerBase::ingest_report(const LoadReport& report) {
@@ -224,24 +207,7 @@ void BalancerBase::publish_plan(Plan plan, RebalanceKind kind, obs::RebalanceRec
                     static_cast<double>(frozen->id()), "servers",
                     static_cast<double>(servers_.size())));
 
-  if (plan_delivery_) {
-    // Direct LB -> dispatcher transport (the deployment default).
-    for (auto& [id, _] : servers_) plan_delivery_(id, frozen);
-  } else {
-    // Fallback: ride the pub/sub substrate on each server's @ctl:plan.
-    auto body = std::make_shared<PlanUpdateBody>();
-    body->plan = frozen;
-    for (auto& [id, state] : servers_) {
-      auto env = ps::make_envelope();
-      env->id = MessageId{client_id_, next_seq_++};
-      env->kind = ps::MsgKind::kPlanUpdate;
-      env->channel = kPlanChannel;
-      env->publish_time = sim_.now();
-      env->publisher = client_id_;
-      env->body = body;
-      state.conn->publish(std::move(env));
-    }
-  }
+  for (const auto& [id, _] : servers_) plan_delivery_(id, frozen);
   if (plan_listener_) plan_listener_(frozen, kind);
 }
 

@@ -1,15 +1,17 @@
 // Shared control-plane machinery for load balancers.
 //
-// The load balancer runs on one infrastructure node, subscribes to @ctl:lla
-// on every pub/sub server to receive LLA reports, and publishes plan updates
-// on @ctl:plan. Subclasses implement decide(), which inspects the aggregated
-// state and may emit a new plan. The Dynamoth load balancer is the one
-// production subclass; the consistent-hashing comparator runs inside it as a
-// placement policy.
+// The load balancer runs on one infrastructure node. Each server's LLA sends
+// it one report per window over the network (ingest_report), and it hands
+// every new plan to the PlanDelivery it was built with, once per attached
+// server; neither path rides the pub/sub substrate. Subclasses implement
+// decide(), which inspects the aggregated state and may emit a new plan.
+// The Dynamoth load balancer is the one production subclass; the
+// consistent-hashing comparator runs inside it as a placement policy.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -22,8 +24,6 @@
 #include "core/control.h"
 #include "core/plan.h"
 #include "core/registry.h"
-#include "net/network.h"
-#include "pubsub/remote_connection.h"
 #include "sim/simulator.h"
 
 namespace dynamoth::core {
@@ -53,6 +53,8 @@ class BalancerBase {
   /// timeout: the emergency rebalance wants the dead server's final report
   /// to know which channels it owned.
   static constexpr SimTime kReportMaxAge = seconds(10);
+  /// Load ratios average a server's last this-many reports (one per window).
+  static constexpr std::size_t kLrWindow = 3;
 
   struct BaseConfig {
     /// Enables the heartbeat failure detector: LLA reports double as
@@ -72,9 +74,15 @@ class BalancerBase {
     SimTime silence = 0;  // observed silence at the transition
   };
 
-  BalancerBase(sim::Simulator& sim, net::Network& network, ServerRegistry& registry,
+  /// Plan transport to a server's dispatcher (paper IV-A1: "the LB sends it
+  /// reliably to all dispatchers" — dispatchers are separate processes beside
+  /// the pub/sub server, so plan delivery must not queue behind a saturated
+  /// data plane).
+  using PlanDelivery = std::function<void(ServerId, const PlanPtr&)>;
+
+  BalancerBase(sim::Simulator& sim, ServerRegistry& registry,
                std::shared_ptr<const ConsistentHashRing> base_ring, NodeId node,
-               Cloud* cloud, BaseConfig config);
+               Cloud* cloud, BaseConfig config, PlanDelivery deliver);
   virtual ~BalancerBase();
 
   BalancerBase(const BalancerBase&) = delete;
@@ -84,10 +92,10 @@ class BalancerBase {
   void start();
   void stop();
 
-  /// Attaches a pub/sub server: subscribes to its LLA reports and includes
-  /// it in future plans.
+  /// Attaches a pub/sub server: accepts its LLA reports, sends it every
+  /// future plan, and includes it in placement.
   void attach_server(ServerId server);
-  /// Detaches (stops listening; server no longer a placement target).
+  /// Detaches (reports ignored; server no longer a placement target).
   void detach_server(ServerId server);
 
   [[nodiscard]] const PlanPtr& current_plan() const { return plan_; }
@@ -107,16 +115,8 @@ class BalancerBase {
   using PlanListener = std::function<void(const PlanPtr&, RebalanceKind)>;
   void set_plan_listener(PlanListener listener) { plan_listener_ = std::move(listener); }
 
-  /// Direct plan transport to a server's dispatcher (paper IV-A1: "the LB
-  /// sends it reliably to all dispatchers" — dispatchers are separate
-  /// processes beside the pub/sub server, so plan delivery must not queue
-  /// behind a saturated data plane). When unset, plans are published on each
-  /// server's @ctl:plan channel instead.
-  using PlanDelivery = std::function<void(ServerId, const PlanPtr&)>;
-  void set_plan_delivery(PlanDelivery delivery) { plan_delivery_ = std::move(delivery); }
-
-  /// Feeds one LLA report into the balancer's state (the direct monitoring
-  /// path; also reachable via @ctl:lla subscriptions).
+  /// Feeds one LLA report into the balancer's state (the LLA's direct
+  /// report link ends here).
   void ingest_report(const LoadReport& report);
 
   /// Smoothed load ratio of `server` (0 when unknown).
@@ -128,7 +128,6 @@ class BalancerBase {
 
  protected:
   struct ServerState {
-    std::unique_ptr<ps::RemoteConnection> conn;
     std::deque<LoadReport> reports;  // most recent last, bounded by kLrWindow
     double capacity = 0;             // T_i from reports
     bool retiring = false;           // excluded from placement targets
@@ -145,7 +144,7 @@ class BalancerBase {
 
   [[nodiscard]] fault::FailureDetector& detector() { return detector_; }
 
-  /// Stamps, freezes, broadcasts and records a new plan. `record` carries the
+  /// Stamps, freezes, delivers and records a new plan. `record` carries the
   /// decision context (triggers, channel moves) assembled by the subclass;
   /// time/plan_id/kind/active_servers are stamped here.
   void publish_plan(Plan plan, RebalanceKind kind, obs::RebalanceRecord record = {});
@@ -163,7 +162,6 @@ class BalancerBase {
   [[nodiscard]] std::map<Channel, double> channel_out_rates(ServerId server) const;
 
   sim::Simulator& sim_;
-  net::Network& network_;
   ServerRegistry& registry_;
   std::shared_ptr<const ConsistentHashRing> base_ring_;
   NodeId node_;
@@ -173,7 +171,6 @@ class BalancerBase {
   std::uint64_t next_plan_id_ = 1;
 
  private:
-  void on_deliver(const ps::EnvelopePtr& env);
   /// One decision round: purge stale reports, run the failure detector,
   /// then the subclass's decide().
   void tick();
@@ -186,8 +183,6 @@ class BalancerBase {
   fault::FailureDetector detector_;
   std::vector<LivenessEvent> liveness_events_;
   obs::RebalanceAuditLog audit_;
-  ClientId client_id_;
-  std::uint64_t next_seq_ = 1;
   sim::PeriodicTask ticker_;
   PlanListener plan_listener_;
   PlanDelivery plan_delivery_;

@@ -1,18 +1,19 @@
-// Typed control payloads Dynamoth rides over the pub/sub substrate, plus the
-// control-channel naming scheme.
+// Control payloads, the LLA's load report, and the control-channel naming
+// scheme.
 //
-// Mirroring the paper's implementation ("all inter-component communications
-// are done using the pub/sub primitives offered by the Dynamoth API"),
-// control traffic is ordinary publications on reserved "@ctl:" channels:
+// Dispatcher traffic rides the pub/sub substrate as ordinary publications on
+// reserved "@ctl:" channels, as in the paper's implementation ("all
+// inter-component communications are done using the pub/sub primitives"):
 //   @ctl:c:<client-id>  per-client channel; each client subscribes to it on
 //                       every server it connects to, so the local dispatcher
 //                       can send it wrong-server replies (kWrongServer).
-//   @ctl:plan           per-server channel the local dispatcher subscribes
-//                       to; the load balancer publishes plan updates there.
-//   @ctl:lla            per-server channel the load balancer subscribes to;
-//                       the local LLA publishes its reports there.
 //   @ctl:disp           per-server dispatcher inbox (drain notices).
 // Control channels are excluded from load metrics and never appear in plans.
+//
+// LLA reports and plans do not ride the substrate: each LLA sends its
+// LoadReport straight to the load balancer node, and the balancer sends each
+// plan straight to every dispatcher (paper Figure 1, IV-A1), so neither
+// queues behind a saturated data plane (DESIGN.md section 6).
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,6 @@
 namespace dynamoth::core {
 
 inline constexpr const char* kCtlPrefix = "@ctl:";
-inline constexpr const char* kPlanChannel = "@ctl:plan";
-inline constexpr const char* kLlaChannel = "@ctl:lla";
 inline constexpr const char* kDispatcherChannel = "@ctl:disp";
 
 [[nodiscard]] inline bool is_control_channel(const Channel& c) {
@@ -47,15 +46,6 @@ struct EntryUpdateBody final : ps::ControlBody {
 
   [[nodiscard]] std::size_t wire_size() const override {
     return 24 + channel.size() + 4 * entry.servers.size();
-  }
-};
-
-/// kPlanUpdate: the load balancer's new global plan, sent to dispatchers.
-struct PlanUpdateBody final : ps::ControlBody {
-  PlanPtr plan;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return plan ? plan->wire_size() : 16;
   }
 };
 
@@ -95,15 +85,11 @@ struct LoadReport {
   [[nodiscard]] double load_ratio() const {
     return advertised_capacity > 0 ? measured_out_bytes_per_sec / advertised_capacity : 0;
   }
-};
 
-/// kLlaReport body.
-struct LlaReportBody final : ps::ControlBody {
-  LoadReport report;
-
-  [[nodiscard]] std::size_t wire_size() const override {
+  /// Bytes the report costs on the LLA -> balancer link.
+  [[nodiscard]] std::size_t wire_size() const {
     std::size_t bytes = 48;
-    for (const auto& [channel, _] : report.channels) bytes += channel.size() + 40;
+    for (const auto& [channel, _] : channels) bytes += channel.size() + 40;
     return bytes;
   }
 };

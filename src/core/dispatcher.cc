@@ -57,7 +57,6 @@ void Dispatcher::start() {
   server.add_observer(this);
   local_conn_ = connection(self_);
   DYN_CHECK(local_conn_ != nullptr);
-  local_conn_->subscribe(kPlanChannel);
   local_conn_->subscribe(kDispatcherChannel);
   cleaner_.start();
 }
@@ -179,33 +178,20 @@ void Dispatcher::apply_plan(PlanPtr plan) {
 }
 
 void Dispatcher::on_ctl_deliver(const ps::EnvelopePtr& env) {
-  switch (env->kind) {
-    case ps::MsgKind::kPlanUpdate: {
-      if (const auto* body = dynamic_cast<const PlanUpdateBody*>(env->body.get())) {
-        if (body->plan) apply_plan(body->plan);
-      }
-      return;
-    }
-    case ps::MsgKind::kDrainNotice: {
-      if (const auto* body = dynamic_cast<const DrainNoticeBody*>(env->body.get())) {
-        ++stats_.drain_notices_received;
-        // A drain entry only exists for channels this dispatcher has already
-        // interned, so a miss in the table means there is nothing to erase.
-        const ChannelId cid = ChannelTable::instance().find(body->channel);
-        if (cid == kInvalidChannelId) return;
-        auto it = drain_.find(cid);
-        if (it != drain_.end()) {
-          it->second.old_owners.erase(body->drained_server);
-          if (it->second.old_owners.empty()) {
-            drain_.erase(it);
-            clear_flag(cid, kFlagDrain);
-          }
-        }
-      }
-      return;
-    }
-    default:
-      return;
+  if (env->kind != ps::MsgKind::kDrainNotice) return;
+  const auto* body = dynamic_cast<const DrainNoticeBody*>(env->body.get());
+  if (body == nullptr) return;
+  ++stats_.drain_notices_received;
+  // A drain entry only exists for channels this dispatcher has already
+  // interned, so a miss in the table means there is nothing to erase.
+  const ChannelId cid = ChannelTable::instance().find(body->channel);
+  if (cid == kInvalidChannelId) return;
+  auto it = drain_.find(cid);
+  if (it == drain_.end()) return;
+  it->second.old_owners.erase(body->drained_server);
+  if (it->second.old_owners.empty()) {
+    drain_.erase(it);
+    clear_flag(cid, kFlagDrain);
   }
 }
 

@@ -1,7 +1,7 @@
 #include "core/lla.h"
 
 #include <algorithm>
-
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -12,11 +12,6 @@ namespace dynamoth::core {
 namespace {
 /// Report period: the paper's time unit t.
 constexpr SimTime kReportInterval = seconds(1);
-
-/// Pseudo client id for infrastructure components colocated with a server.
-ClientId infra_client_id(ServerId server) {
-  return 0x1000'0000'0000'0000ull + server;
-}
 }  // namespace
 
 LocalLoadAnalyzer::LocalLoadAnalyzer(sim::Simulator& sim, net::Network& network,
@@ -35,9 +30,6 @@ void LocalLoadAnalyzer::start() {
   if (started_) return;
   started_ = true;
   server_.add_observer(this);
-  // Local connection used to publish reports on @ctl:lla (zero NIC cost).
-  conn_ = std::make_unique<ps::RemoteConnection>(sim_, network_, server_.node(), server_,
-                                                 nullptr, nullptr);
   window_start_bytes_ = network_.transmitted_bytes(server_.node());
   window_start_cpu_ = server_.cpu_time_executed();
   window_start_time_ = sim_.now();
@@ -59,7 +51,6 @@ void LocalLoadAnalyzer::stop() {
   started_ = false;
   reporter_.stop();
   server_.remove_observer(this);
-  conn_.reset();
 }
 
 void LocalLoadAnalyzer::on_publish(const ps::EnvelopePtr& env, std::size_t subscriber_count,
@@ -243,23 +234,12 @@ void LocalLoadAnalyzer::emit_report() {
   window_start_bytes_ = bytes_now;
   window_start_time_ = now;
 
-  auto body = std::make_shared<LlaReportBody>();
-  body->report = std::move(report);
-
   // Direct path to the balancer (does not queue behind the data plane).
   if (sink_ && balancer_node_ != kInvalidNode) {
-    network_.send(server_.node(), balancer_node_, body->wire_size(),
-                  [sink = sink_, body] { sink(body->report); });
+    auto sent = std::make_shared<const LoadReport>(std::move(report));
+    network_.send(server_.node(), balancer_node_, sent->wire_size(),
+                  [sink = sink_, sent] { sink(*sent); });
   }
-
-  auto env = ps::make_envelope();
-  env->id = MessageId{infra_client_id(server_.node()), static_cast<std::uint64_t>(now)};
-  env->kind = ps::MsgKind::kLlaReport;
-  env->channel = kLlaChannel;
-  env->publish_time = now;
-  env->publisher = infra_client_id(server_.node());
-  env->body = std::move(body);
-  conn_->publish(std::move(env));
 }
 
 }  // namespace dynamoth::core

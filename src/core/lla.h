@@ -5,14 +5,14 @@
 // paper's LLA registers as an observer of every channel; colocation makes
 // this free of network cost) and accumulates, per measurement window:
 // publications, deliveries, bytes in/out, current subscriber count and the
-// set of distinct publishers — per channel. Each window it publishes an
-// aggregate LoadReport on the local "@ctl:lla" channel, which the load
-// balancer subscribes to on every server. The report also carries the
-// NIC-measured outgoing bandwidth M_i and the advertised maximum T_i.
+// set of distinct publishers — per channel. Each window it sends an
+// aggregate LoadReport straight to the load balancer node over the network
+// (set_report_target). The report also carries the NIC-measured outgoing
+// bandwidth M_i and the advertised maximum T_i.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "common/channel_table.h"
@@ -21,7 +21,6 @@
 #include "core/registry.h"
 #include "net/network.h"
 #include "pubsub/pattern.h"
-#include "pubsub/remote_connection.h"
 #include "pubsub/server.h"
 #include "sim/simulator.h"
 
@@ -47,8 +46,7 @@ class LocalLoadAnalyzer final : public ps::LocalObserver {
   /// Routes reports directly to the load balancer node over the network
   /// (paper Figure 1: the LLA talks to the LB itself, not through the local
   /// pub/sub server — monitoring must not starve behind a saturated data
-  /// plane). Reports are still also published on the local @ctl:lla channel
-  /// for observability.
+  /// plane). Without a target, reports are computed but go nowhere.
   using ReportSink = std::function<void(const LoadReport&)>;
   void set_report_target(NodeId balancer_node, ReportSink sink);
   void clear_report_target();
@@ -136,7 +134,6 @@ class LocalLoadAnalyzer final : public ps::LocalObserver {
   SimTime window_start_time_ = 0;
   double last_load_ratio_ = 0;
 
-  std::unique_ptr<ps::RemoteConnection> conn_;  // local, for publishing reports
   NodeId balancer_node_ = kInvalidNode;
   ReportSink sink_;
   sim::PeriodicTask reporter_;

@@ -76,9 +76,9 @@ class DynamothLoadBalancer final : public BalancerBase {
     std::uint64_t emergency_rebalances = 0;
   };
 
-  DynamothLoadBalancer(sim::Simulator& sim, net::Network& network, ServerRegistry& registry,
+  DynamothLoadBalancer(sim::Simulator& sim, ServerRegistry& registry,
                        std::shared_ptr<const ConsistentHashRing> base_ring, NodeId node,
-                       Cloud* cloud, Config config);
+                       Cloud* cloud, Config config, PlanDelivery deliver);
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const Stats& stats() const { return lb_stats_; }

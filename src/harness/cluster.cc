@@ -190,13 +190,11 @@ core::DynamothLoadBalancer& Cluster::use_dynamoth(core::DynamothLoadBalancer::Co
   node_config.egress_bytes_per_sec = config_.client_egress;
   balancer_node_ = network_->add_node(node_config);
   auto lb = std::make_unique<core::DynamothLoadBalancer>(
-      sim_, *network_, registry_, base_ring_, balancer_node_, cloud_.get(), config);
+      sim_, registry_, base_ring_, balancer_node_, cloud_.get(), config,
+      [this](ServerId server, const core::PlanPtr& plan) { deliver_plan(server, plan); });
   auto* raw = lb.get();
   DYN_TRACE(set_track_name(balancer_node_, "load balancer"));
   balancer_ = std::move(lb);
-  balancer_->set_plan_delivery([this](ServerId server, const core::PlanPtr& plan) {
-    deliver_plan(server, plan);
-  });
   for (auto& [_, stack] : stacks_) {
     if (registry_.find(stack.id) != nullptr) wire_balancer(stack);
   }

@@ -1,5 +1,5 @@
 // Tests for the shared balancer machinery: report ingestion and smoothing,
-// attach/detach lifecycle, plan listener/delivery hooks.
+// attach/detach lifecycle, plan listener and plan delivery.
 #include "core/balancer_base.h"
 
 #include <gtest/gtest.h>
@@ -33,10 +33,13 @@ struct Fixture {
     cluster = std::make_unique<harness::Cluster>(config);
     const NodeId node =
         cluster->network().add_node({net::NodeKind::kInfrastructure, 1e7});
-    balancer = std::make_unique<NullBalancer>(cluster->sim(), cluster->network(),
-                                              cluster->registry(), cluster->base_ring(),
-                                              node, &cluster->cloud(), BalancerBase::BaseConfig{});
+    balancer = std::make_unique<NullBalancer>(
+        cluster->sim(), cluster->registry(), cluster->base_ring(), node, &cluster->cloud(),
+        BalancerBase::BaseConfig{},
+        [this](ServerId server, const PlanPtr& plan) { delivered.emplace_back(server, plan); });
   }
+  Fixture(const Fixture&) = delete;
+  Fixture& operator=(const Fixture&) = delete;
 
   LoadReport report(ServerId server, double mbps, double capacity = 1.5e6) {
     LoadReport r;
@@ -50,6 +53,7 @@ struct Fixture {
 
   std::unique_ptr<harness::Cluster> cluster;
   std::unique_ptr<NullBalancer> balancer;
+  std::vector<std::pair<ServerId, PlanPtr>> delivered;  // every plan delivery
 };
 
 TEST(BalancerBase, TickInvokesDecide) {
@@ -135,18 +139,13 @@ TEST(BalancerBase, PlanListenerAndEventsFireOnPublish) {
   ASSERT_EQ(f.balancer->events().size(), 1u);
   EXPECT_EQ(f.balancer->events()[0].kind, RebalanceKind::kHighLoad);
   EXPECT_EQ(f.balancer->current_plan()->id(), f.balancer->events()[0].plan_id);
-}
-
-TEST(BalancerBase, PlanDeliveryOverridesPubSubPath) {
-  Fixture f;
-  f.balancer->start();
-  std::vector<ServerId> delivered_to;
-  f.balancer->set_plan_delivery([&](ServerId server, const PlanPtr& plan) {
-    delivered_to.push_back(server);
-    EXPECT_NE(plan, nullptr);
-  });
-  f.balancer->publish_plan(Plan{}, RebalanceKind::kLowLoad);
-  EXPECT_EQ(delivered_to.size(), 2u);
+  // One delivery per attached server, each carrying the published plan.
+  const auto servers = f.cluster->server_ids();
+  ASSERT_EQ(f.delivered.size(), servers.size());
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    EXPECT_EQ(f.delivered[i].first, servers[i]);
+    EXPECT_EQ(f.delivered[i].second, f.balancer->current_plan());
+  }
 }
 
 TEST(BalancerBase, PlanIdsIncrease) {
@@ -156,6 +155,8 @@ TEST(BalancerBase, PlanIdsIncrease) {
   const std::uint64_t first = f.balancer->current_plan()->id();
   f.balancer->publish_plan(Plan{}, RebalanceKind::kHighLoad);
   EXPECT_GT(f.balancer->current_plan()->id(), first);
+  ASSERT_FALSE(f.delivered.empty());
+  EXPECT_EQ(f.delivered.back().second->id(), f.balancer->current_plan()->id());
 }
 
 TEST(BalancerBase, RebalanceKindNames) {

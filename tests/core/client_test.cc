@@ -187,7 +187,7 @@ TEST(Client, ShutdownClosesConnectionsAndStopsApi) {
 TEST(Client, ControlChannelsAreRejected) {
   harness::Cluster cluster(fixture_config(1));
   auto& client = cluster.add_client();
-  EXPECT_DEATH(client.publish("@ctl:plan"), "CHECK");
+  EXPECT_DEATH(client.publish("@ctl:disp"), "CHECK");
 }
 
 TEST(Client, ResubscribesAfterServerDroppedConnection) {

@@ -6,13 +6,12 @@ namespace dynamoth::core {
 namespace {
 
 TEST(Control, ControlChannelDetection) {
-  EXPECT_TRUE(is_control_channel("@ctl:plan"));
+  EXPECT_TRUE(is_control_channel("@ctl:disp"));
   EXPECT_TRUE(is_control_channel("@ctl:c:42"));
-  EXPECT_TRUE(is_control_channel("@ctl:lla"));
   EXPECT_FALSE(is_control_channel("tile:1:2"));
   EXPECT_FALSE(is_control_channel(""));
-  EXPECT_FALSE(is_control_channel("ctl:plan"));
-  EXPECT_FALSE(is_control_channel("x@ctl:plan"));
+  EXPECT_FALSE(is_control_channel("ctl:disp"));
+  EXPECT_FALSE(is_control_channel("x@ctl:disp"));
 }
 
 TEST(Control, ClientControlChannelRoundTrip) {
@@ -31,26 +30,17 @@ TEST(Control, EntryUpdateWireSizeScalesWithServers) {
   EXPECT_GT(big.wire_size(), small.wire_size());
 }
 
+// A plan update costs the plan's own wire size on the balancer -> dispatcher
+// link.
 TEST(Control, PlanUpdateWireSizeScalesWithPlan) {
-  auto plan = std::make_shared<Plan>();
-  PlanUpdateBody empty;
-  empty.plan = plan;
-  const std::size_t base = empty.wire_size();
-
-  auto bigger = std::make_shared<Plan>();
+  const std::size_t base = Plan{}.wire_size();
+  Plan bigger;
   for (int i = 0; i < 50; ++i) {
     PlanEntry entry;
     entry.servers = {1, 2};
-    bigger->set_entry("channel-" + std::to_string(i), entry);
+    bigger.set_entry("channel-" + std::to_string(i), entry);
   }
-  PlanUpdateBody full;
-  full.plan = bigger;
-  EXPECT_GT(full.wire_size(), base + 50 * 10);
-}
-
-TEST(Control, NullPlanBodyHasFallbackSize) {
-  PlanUpdateBody body;
-  EXPECT_GT(body.wire_size(), 0u);
+  EXPECT_GT(bigger.wire_size(), base + 50 * 10);
 }
 
 TEST(Control, LoadRatioComputation) {
@@ -65,9 +55,9 @@ TEST(Control, LoadRatioComputation) {
 }
 
 TEST(Control, LlaReportWireSizeScalesWithChannels) {
-  LlaReportBody small;
-  LlaReportBody big;
-  for (int i = 0; i < 20; ++i) big.report.channels["channel-" + std::to_string(i)] = {};
+  LoadReport small;
+  LoadReport big;
+  for (int i = 0; i < 20; ++i) big.channels["channel-" + std::to_string(i)] = {};
   EXPECT_GT(big.wire_size(), small.wire_size() + 20 * 40);
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "harness/cluster.h"
 
@@ -39,19 +41,40 @@ TEST(Dispatcher, StartsWithPlanZero) {
   EXPECT_EQ(d.draining_channels(), 0u);
 }
 
-TEST(Dispatcher, PlanUpdateArrivesViaControlChannel) {
-  harness::Cluster cluster(config2());
-  // install_plan publishes through dispatchers directly; instead exercise
-  // the pub/sub path: publish a kPlanUpdate on @ctl:plan of each server the
-  // way the balancer does. Use a Dynamoth LB for the full path.
+TEST(Dispatcher, BalancerPlanReachesEveryDispatcherOverDirectLink) {
+  harness::ClusterConfig config = config2();
+  config.server_capacity = 150e3;
+  harness::Cluster cluster(config);
   auto& lb = cluster.use_dynamoth({});
-  (void)lb;
-  cluster.sim().run_for(seconds(2));
-  // Dispatchers have at least plan zero; applying a manual plan bumps them.
-  core::Plan plan = plan_with("c", {cluster.server_ids()[0]}, ReplicationMode::kNone, 1);
-  cluster.install_plan(plan);
-  for (ServerId s : cluster.server_ids()) {
-    EXPECT_GE(cluster.dispatcher(s).stats().plans_applied, 1u);
+  PlanPtr sent;
+  std::vector<ServerId> targets;
+  bool applied_in_place = false;
+  lb.set_plan_listener([&](const PlanPtr& plan, RebalanceKind) {
+    if (sent) return;
+    sent = plan;
+    targets = lb.active_servers();
+    for (ServerId s : targets) {
+      if (cluster.dispatcher(s).current_plan() == plan) applied_in_place = true;
+    }
+  });
+  // Overload one server so the balancer publishes a high-load plan.
+  std::vector<std::unique_ptr<sim::PeriodicTask>> feeds;
+  for (int i = 0; i < 6; ++i) {
+    const Channel c = "feed" + std::to_string(i);
+    for (int j = 0; j < 4; ++j) cluster.add_client().subscribe(c, [](const ps::EnvelopePtr&) {});
+    auto* pub = &cluster.add_client();
+    feeds.push_back(std::make_unique<sim::PeriodicTask>(cluster.sim(), millis(40),
+                                                        [pub, c] { pub->publish(c, 400); }));
+    feeds.back()->start();
+  }
+  for (int i = 0; i < 60 && !sent; ++i) cluster.sim().run_for(seconds(1));
+  ASSERT_NE(sent, nullptr);
+  // Handing the plan over does not apply it: it is in flight on the link.
+  EXPECT_FALSE(applied_in_place);
+  ASSERT_GE(targets.size(), 2u);
+  cluster.sim().run_for(millis(100));  // one link latency and then some
+  for (ServerId s : targets) {
+    EXPECT_GE(cluster.dispatcher(s).current_plan()->id(), sent->id()) << "server " << s;
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -54,6 +56,40 @@ struct LbFixture {
   DynamothLoadBalancer* lb = nullptr;
   std::vector<std::unique_ptr<sim::PeriodicTask>> feeds;
 };
+
+// Each LLA report reaches the balancer exactly once: after every window, a
+// server's smoothed load ratio is the mean of its last kLrWindow distinct
+// windows. A second copy of any report (say, over a pub/sub relay) would
+// crowd a distinct window out of the average.
+TEST(LoadBalancer, EachLlaReportIsIngestedOnce) {
+  LbFixture f(150e3);
+  f.add_feed("calm", 2, 5);
+  const std::vector<ServerId> servers = f.cluster->server_ids();
+  std::map<ServerId, std::vector<double>> windows;  // LLA's LR per window
+  f.cluster->sim().run_for(millis(500));  // sample mid-window, reports landed
+  for (int k = 1; k <= 30; ++k) {
+    // The load steps up at k = 5 and again at k = 15.
+    if (k == 5) f.add_feed("step", 8, 25, 400);
+    if (k == 15) f.add_feed("step2", 8, 25, 400);
+    f.cluster->sim().run_for(seconds(1));
+    for (ServerId s : servers) {
+      std::vector<double>& w = windows[s];
+      w.push_back(f.cluster->lla(s).last_load_ratio());
+      const std::size_t n = std::min(w.size(), BalancerBase::kLrWindow);
+      double sum = 0;
+      for (std::size_t i = w.size() - n; i < w.size(); ++i) sum += w[i];
+      EXPECT_DOUBLE_EQ(f.lb->load_ratio(s), sum / static_cast<double>(n))
+          << "server " << s << " after window " << k;
+    }
+  }
+  // The steps moved the load ratio, so equal means are not a coincidence.
+  double spread = 0;
+  for (const auto& [_, w] : windows) {
+    const auto [lo, hi] = std::minmax_element(w.begin(), w.end());
+    spread = std::max(spread, *hi - *lo);
+  }
+  EXPECT_GT(spread, 0.1);
+}
 
 TEST(LoadBalancer, NoChangeUnderLightLoad) {
   LbFixture f;
